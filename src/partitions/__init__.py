@@ -72,7 +72,8 @@ from .rademacher import (
     default_precision,
     p_series,
     r_k,
-    remainder_bound_log,
+    terms_needed,
+    truncation_bound,
 )
 
 __version__ = "0.1.0"
@@ -130,6 +131,7 @@ __all__ = [
     "default_precision",
     "p_series",
     "r_k",
-    "remainder_bound_log",
+    "terms_needed",
+    "truncation_bound",
     "__version__",
 ]

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,10 +58,14 @@ def _parse_prec(value) -> int | None:
     return value
 
 
-def _load_cache(path) -> PartitionCache:
-    if path and os.path.exists(path):
-        return cache_load(path)
-    return PartitionCache()
+@contextmanager
+def _cached(path):
+    """The cache at ``path`` (empty if none), saved afterwards if it grew."""
+    cache = cache_load(path) if path and os.path.exists(path) else PartitionCache()
+    loaded_max_n = cache.max_n if cache.source_path else -1
+    yield cache
+    if path and cache.max_n > loaded_max_n:
+        cache_save(cache, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="certified series evaluation of p(n), JSON report")
     p.add_argument("n", type=int)
     p.add_argument("--prec", type=int, default=None, help="working bits (raises the default only)")
-    p.add_argument("--terms", type=int, default=None, help="initial term count")
+    p.add_argument("--terms", type=int, default=None, help="minimum term count")
 
     p = sub.add_parser("asym", help="leading term L(n) and relative error")
     p.add_argument("n", type=int)
@@ -131,10 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_exact(cfg: CliConfig, args) -> int:
     if args.n < 0:
         raise UsageError("n must be nonnegative")
-    cache = _load_cache(cfg.cache_path)
-    value = p_exact(args.n, cache)
-    if cfg.cache_path:
-        cache_save(cache, cfg.cache_path)
+    with _cached(cfg.cache_path) as cache:
+        value = p_exact(args.n, cache)
     if cfg.output_format == "json":
         print(json.dumps({"n": args.n, "p": str(value)}))
     elif cfg.output_format == "csv":
@@ -166,6 +169,8 @@ def _cmd_series(cfg: CliConfig, args) -> int:
         "partial_sum": mp.nstr(report.partial_sum, 40),
         "rounded": str(report.rounded),
         "gap": mp.nstr(report.gap, 10),
+        "truncation_bound": f"{report.truncation_bound:.10g}",
+        "float_error_bound": f"{report.float_error_bound:.10g}",
     }
     print(json.dumps(payload))
     return 0
@@ -175,10 +180,8 @@ def _cmd_asym(cfg: CliConfig, args) -> int:
     if args.n < 1:
         raise UsageError("n must be a positive integer")
     ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
-    cache = _load_cache(cfg.cache_path)
-    row = relative_error_table([args.n], cache, ctx)[0]
-    if cfg.cache_path:
-        cache_save(cache, cfg.cache_path)
+    with _cached(cfg.cache_path) as cache:
+        row = relative_error_table([args.n], cache, ctx)[0]
     if cfg.output_format == "json":
         print(json.dumps({
             "n": row.n,
@@ -205,10 +208,8 @@ def _cmd_table(cfg: CliConfig, args) -> int:
             raise UsageError("--list expects comma-separated integers") from None
         if not ns or any(n < 1 for n in ns):
             raise UsageError("--list expects positive integers")
-    cache = _load_cache(cfg.cache_path)
-    rows = relative_error_table(ns, cache)
-    if cfg.cache_path:
-        cache_save(cache, cfg.cache_path)
+    with _cached(cfg.cache_path) as cache:
+        rows = relative_error_table(ns, cache)
     print("n,p_n,L_n,eps_percent")
     for row in rows:
         print(f"{row.n},{row.p_n},{mp.nstr(row.l_n, 20)},{display_eps(row.eps_percent)}")

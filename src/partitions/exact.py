@@ -15,6 +15,8 @@ tables p(0..max_n) with a line-per-value text serialization.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
@@ -135,10 +137,20 @@ def p_oracle_dp(n: int) -> int:
 
 
 def cache_save(cache: PartitionCache, path) -> None:
-    """Write ``n,p(n)`` lines, ascending n, UTF-8 with LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for n, v in enumerate(cache._values):
-            fh.write(f"{n},{v}\n")
+    """Write ``n,p(n)`` lines, ascending n, UTF-8 with LF endings.
+
+    A temporary file next to ``path`` replaces it in one step, so a failed
+    or concurrent write never leaves a partial file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{n},{v}\n" for n, v in enumerate(cache._values))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def cache_load(path) -> PartitionCache:
@@ -146,6 +158,8 @@ def cache_load(path) -> PartitionCache:
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.endswith("\n"):
+                raise CacheFormatError(f"{path}: line {lineno}: truncated (no line end)")
             line = raw.strip()
             if not line or line.count(",") != 1:
                 raise CacheFormatError(f"{path}: line {lineno}: expected 'n,p(n)'")

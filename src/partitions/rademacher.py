@@ -2,9 +2,9 @@
 
 The series is p(n) = sum_{k>=1} R_k(n) with
 
-    R_k(n) = (pi sqrt(k) / (3 sqrt(2) sqrt(n - 1/24))) * A_k(n)
+    R_k(n) = (pi sqrt(k) / (3 sqrt(2) sqrt(m))) * A_k(n)
              * ((a/k) cosh(a/k) - sinh(a/k)) / a^2,
-    a = alpha(n) = pi sqrt((2/3)(n - 1/24)),
+    m = n - 1/24,  a = alpha(n) = pi sqrt(2m/3),
 
 the hyperbolic form of the derivative expression sqrt(k)/(pi sqrt(2))
 * A_k(n) * d/dn (sinh(alpha(n)/k)/sqrt(n - 1/24)).  Since R_1 is of size
@@ -12,22 +12,36 @@ e^alpha / (4 sqrt(3) n), the working precision must cover alpha*log2(e)
 bits of integer magnitude before any fractional accuracy is left over;
 ``default_precision`` adds 64 guard bits on top of that.
 
-Certification: partial sums are evaluated for a term count N starting at
-max(5, ceil(2 sqrt(n))), doubling N and adding 32 bits per stage, until
-the sum lies within 1/4 of an integer and two successive stages round to
-the same integer.  The 1/4 threshold (instead of 1/2) leaves margin for
-accumulated floating error on top of the series truncation.  A schedule
-that reaches N = 64 sqrt(n) without certifying raises
-:class:`CertificationError`; that signals a precision bug, not a
-convergence problem.
+Truncation bound T(n, N) >= |sum_{k>N} R_k(n)|.  For n >= 2 it is
+Lehmer's estimate (Johansson, arXiv 1205.5991, eq. 1.8)
 
-The rigorous tail bound |sum_{k>N} R_k(n)| <= C/sqrt(N) with
+    T = 44 pi^2/(225 sqrt 3) N^(-1/2) + pi sqrt 2/75 sqrt(N/(n-1)) sinh(pi sqrt(2n/3)/N).
 
-    C = 2^(7/4) (F(e^(-pi/48)) - 1) e^(2 pi n)
-        + 2^(3/4) pi e^(pi/12 + 2 pi n)
+For n = 1, |A_k| <= k and u cosh u - sinh u <= (u^3/3) cosh u give
+|R_k(1)| <= pi^2/(9 sqrt 3) k^(-3/2) cosh(a/k), so T = 2 pi^2/(9 sqrt 3)
+N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
+N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
+and is +inf where sinh would overflow (it is then far above 1/4).
 
-grows like e^(2 pi n) and is astronomically loose; it is exposed in log
-space as :func:`remainder_bound_log` but plays no role in truncation.
+Floating-error bound E.  Terms and sum are computed at p = bits +
+GUARD_BITS.  Model: each mpmath operation used (arithmetic, sqrt, pi, cosh,
+sinh, cospi) is exact for its computed operands up to a relative
+eps = 2^(1-p), twice the correct-rounding bound.  Then each cosine in A_k
+is off by (pi+1) eps and A_k by k(k+9) eps/2; u = a/k is off by 5.1 eps
+relatively, so u cosh u - sinh u is off by eps (3 + 5.1u)(u cosh u + sinh u).
+To first order |computed R_k - R_k| <= eps H_k (k/2 + 29 + 5.1 u_k), where
+H_k = pi k^(3/2) (1 + u_k) e^(u_k) / (3 sqrt 2 sqrt(m) a^2) bounds the
+magnitudes that cancel, and summing N terms adds eps N/2 sum H_k.  As
+k <= N and u_k <= a, E = eps N H_N* (2N + 8a + 64), with H_N* the value of
+H_k at k^(3/2) = N^(3/2), u_k = a, bounds the total with the constants
+doubled, which absorbs the second-order terms.  E is evaluated in log
+space and rounded up.
+
+Certification: the computed sum S lies within T + E of p(n).
+:func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
+gap = |S - nint(S)|, which also gives gap < 1/4; otherwise it raises
+:class:`CertificationError`.  There is no retry: at ``default_precision``
+E < 2^-50 for every n up to 10^12, so a failure means too few bits.
 """
 
 from __future__ import annotations
@@ -38,8 +52,12 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .dedekind import a_k
-from .eta import generating_function
-from .precision import PrecisionContext, DEFAULT_CONTEXT
+from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
+
+_LEHMER_C1 = 44 * math.pi**2 / (225 * math.sqrt(3))
+_LEHMER_C2 = math.pi * math.sqrt(2) / 75
+# relative margin rounding the float-evaluated bounds upward
+_ROUND_UP = 1 + 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -51,7 +69,8 @@ class SeriesTerm:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """One certified series evaluation: terms, partial sum, rounded value."""
+    """One certified series evaluation: terms, partial sum, rounded value,
+    and the error budget (truncation bound T, floating-error bound E)."""
 
     n: int
     prec: int
@@ -60,10 +79,12 @@ class SeriesReport:
     rounded: int
     gap: mpf
     n_terms_used: int
+    truncation_bound: float
+    float_error_bound: float
 
 
 class CertificationError(RuntimeError):
-    """The doubling schedule ended without a certified rounding."""
+    """The error budget T + E does not certify the rounded partial sum."""
 
 
 def default_precision(n: int) -> int:
@@ -94,20 +115,45 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
         return SeriesTerm(k, weight, value)
 
 
-def _stage(n: int, n_terms: int, bits: int):
-    ctx = PrecisionContext(bits)
-    terms = [r_k(n, k, ctx) for k in range(1, n_terms + 1)]
-    with ctx.workprec():
-        total = mpf(0)
-        for term in terms:  # fixed ascending order for reproducibility
-            total += term.r_k
-        rounded = int(mp.nint(total))
-        gap = abs(total - rounded)
-    return terms, total, rounded, gap
+def truncation_bound(n: int, n_terms: int) -> float:
+    """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
+    if n < 1 or n_terms < 1:
+        raise ValueError("n and N must be positive integers")
+    if n == 1:
+        a = math.pi * math.sqrt(2 / 3 * (1 - 1 / 24))
+        t = 2 * math.pi**2 / (9 * math.sqrt(3) * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
+    else:
+        x = math.pi * math.sqrt(2 * n / 3) / n_terms
+        if x > 700:
+            return math.inf
+        t = _LEHMER_C1 / math.sqrt(n_terms) + _LEHMER_C2 * math.sqrt(n_terms / (n - 1)) * math.sinh(x)
+    return t * _ROUND_UP
+
+
+def terms_needed(n: int) -> int:
+    """The smallest N with truncation_bound(n, N) < 1/4."""
+    n_terms = 1
+    while truncation_bound(n, n_terms) >= 0.25:
+        n_terms += 1
+    return n_terms
+
+
+def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
+    """E >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
+    m = n - 1 / 24
+    a = math.pi * math.sqrt(2 * m / 3)
+    log_e = (1 - bits - GUARD_BITS) * math.log(2) + math.log1p(a) + a + math.log(
+        math.pi * n_terms**2.5 * (2 * n_terms + 8 * a + 64) / (3 * math.sqrt(2 * m) * a * a)
+    )
+    return math.inf if log_e > 700 else math.exp(log_e) * _ROUND_UP
 
 
 def p_series(n: int, initial_terms: int | None = None, prec: int | None = None) -> SeriesReport:
-    """Evaluate the series for p(n) and certify the rounded integer."""
+    """Sum the series for p(n) once and certify the rounded integer.
+
+    The term count is ``terms_needed(n)``, raised to ``initial_terms`` if
+    that is larger; ``prec`` defaults to ``default_precision(n)``.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if initial_terms is not None and initial_terms < 1:
@@ -115,41 +161,31 @@ def p_series(n: int, initial_terms: int | None = None, prec: int | None = None) 
     bits = prec if prec is not None else default_precision(n)
     if bits < 64:
         raise ValueError("precision must be at least 64 bits")
-    n_terms = initial_terms or max(5, math.ceil(2 * math.sqrt(n)))
-    limit = max(math.ceil(64 * math.sqrt(n)), 2 * n_terms)
-    previous = None
-    while True:
-        terms, total, rounded, gap = _stage(n, n_terms, bits)
-        if previous == rounded and gap < 0.25:
-            return SeriesReport(
-                n=n,
-                prec=bits,
-                terms=tuple(terms),
-                partial_sum=total,
-                rounded=rounded,
-                gap=gap,
-                n_terms_used=n_terms,
-            )
-        if n_terms >= limit:
-            raise CertificationError(
-                f"series for n={n} failed to certify by N={n_terms} "
-                f"(gap={mp.nstr(gap, 8)}, last two roundings {previous} and {rounded}); "
-                "suspect insufficient working precision"
-            )
-        previous = rounded
-        n_terms *= 2
-        bits += 32
-
-
-def remainder_bound_log(n: int, n_terms: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """log(C/sqrt(N)) for the rigorous tail bound; log space avoids e^(2 pi n)."""
-    if n < 1 or n_terms < 1:
-        raise ValueError("n and N must be positive integers")
+    n_terms = max(terms_needed(n), initial_terms or 1)
+    ctx = PrecisionContext(bits)
+    terms = tuple(r_k(n, k, ctx) for k in range(1, n_terms + 1))
     with ctx.workprec():
-        c0 = generating_function(mp.exp(-mp.pi / 48), ctx) - 1
-        log_first = mpf(7) / 4 * mp.log(2) + mp.log(c0) + 2 * mp.pi * n
-        log_second = mpf(3) / 4 * mp.log(2) + mp.log(mp.pi) + mp.pi / 12 + 2 * mp.pi * n
-        hi = max(log_first, log_second)
-        lo = min(log_first, log_second)
-        log_c = hi + mp.log1p(mp.exp(lo - hi))
-        return log_c - mp.log(n_terms) / 2
+        total = mpf(0)
+        for term in terms:  # fixed ascending order for reproducibility
+            total += term.r_k
+        rounded = int(mp.nint(total))
+        gap = abs(total - rounded)
+    t = truncation_bound(n, n_terms)
+    e = _float_error_bound(n, n_terms, bits)
+    if not (t + e < 0.25 and t + e + gap < 0.5):
+        raise CertificationError(
+            f"series for n={n} with N={n_terms} terms at {bits} bits is not certified: "
+            f"T={t:.4g}, E={e:.4g}, gap={mp.nstr(gap, 8)} "
+            "(needs T+E < 1/4 and T+E+gap < 1/2); raise the precision"
+        )
+    return SeriesReport(
+        n=n,
+        prec=bits,
+        terms=terms,
+        partial_sum=total,
+        rounded=rounded,
+        gap=gap,
+        n_terms_used=n_terms,
+        truncation_bound=t,
+        float_error_bound=e,
+    )

@@ -258,3 +258,40 @@ def test_corrupt_cache_is_reported(tmp_path, capsys):
     code, _, err = run(["--cache", str(path), "exact", "5"], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+def test_series_json_error_budget(capsys):
+    code, out, _ = run(["series", "100"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    t, e = float(payload["truncation_bound"]), float(payload["float_error_bound"])
+    assert 0 < t < 0.25 and 0 < e < 1e-12
+    assert float(payload["gap"]) <= t + e
+
+
+def test_unchanged_cache_is_not_rewritten(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache.csv"
+    code, _, _ = run(["--cache", str(path), "exact", "30"], capsys)
+    assert code == 0
+
+    def no_save(cache, target):
+        raise AssertionError("cache rewritten without new values")
+
+    monkeypatch.setattr(cli, "cache_save", no_save)
+    for argv in (["exact", "10"], ["exact", "30"], ["asym", "20"], ["table", "--list", "5,25"]):
+        code, _, _ = run(["--cache", str(path)] + argv, capsys)
+        assert code == 0
+    monkeypatch.undo()
+    code, out, _ = run(["--cache", str(path), "exact", "40"], capsys)
+    assert out.strip() == "37338"
+    assert cache_load(path).max_n == 40
+
+
+def test_truncated_cache_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cache.csv"
+    run(["--cache", str(path), "exact", "30"], capsys)
+    path.write_bytes(path.read_bytes()[:-3])
+    code, out, err = run(["--cache", str(path), "exact", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "truncated" in err

@@ -194,3 +194,35 @@ def test_cache_save_unwritable(tmp_path):
     cache = PartitionCache()
     with pytest.raises(OSError):
         cache_save(cache, tmp_path / "no" / "such" / "dir" / "p.csv")
+
+
+def test_cache_save_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "p.csv"
+    old = PartitionCache()
+    old.extend_to(5)
+    cache_save(old, path)
+    before = path.read_bytes()
+
+    def values_then_failure():
+        yield from (1, 1, 2)
+        raise OSError("disk full")
+
+    broken = PartitionCache()
+    broken.extend_to(50)
+    broken._values = values_then_failure()
+    with pytest.raises(OSError, match="disk full"):
+        cache_save(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+
+def test_cache_load_truncated(tmp_path):
+    cache = PartitionCache()
+    cache.extend_to(20)
+    path = tmp_path / "p.csv"
+    cache_save(cache, path)
+    data = path.read_bytes()
+    # cut inside the last value: "20,627\n" -> "20,62", which would parse
+    path.write_bytes(data[:-2])
+    with pytest.raises(CacheFormatError, match="line 21.*truncated"):
+        cache_load(path)

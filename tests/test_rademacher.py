@@ -1,9 +1,10 @@
+import math
+import random
+
 import pytest
 from mpmath import mp, mpf
 
-import partitions.rademacher as rad
 from partitions.dedekind import a_k
-from partitions.eta import generating_function
 from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
 from partitions.rademacher import (
@@ -12,8 +13,10 @@ from partitions.rademacher import (
     default_precision,
     p_series,
     r_k,
-    remainder_bound_log,
+    terms_needed,
+    truncation_bound,
 )
+from partitions.rademacher import _float_error_bound
 
 CTX = PrecisionContext(128)
 
@@ -113,7 +116,12 @@ def test_p_series_precision_robustness():
 def test_p_series_explicit_terms():
     report = p_series(7, initial_terms=3)
     assert report.rounded == 15
-    assert report.n_terms_used >= 3
+    assert report.n_terms_used == terms_needed(7)
+    # initial_terms is a floor on N, not a starting guess
+    report = p_series(7, initial_terms=100)
+    assert report.rounded == 15
+    assert report.n_terms_used == len(report.terms) == 100
+    assert report.truncation_bound == truncation_bound(7, 100)
 
 
 def test_p_series_validation():
@@ -125,46 +133,106 @@ def test_p_series_validation():
         p_series(5, prec=32)
 
 
-def test_certification_error_path(monkeypatch):
-    # force stages that never stabilize
-    calls = {"count": 0}
+def test_low_precision_raises_instead_of_guessing():
+    # 64 bits cannot hold p(1000) ~ 2^104: E exceeds the budget, no integer comes back
+    with pytest.raises(CertificationError) as info:
+        p_series(1000, prec=64)
+    message = str(info.value)
+    assert "T=" in message and "E=" in message and "gap=" in message
+    # below the default, every precision either certifies the right integer or raises
+    for n in (100, 1000):
+        for bits in range(64, default_precision(n) + 1, 8):
+            try:
+                assert p_series(n, prec=bits).rounded == p_exact(n)
+            except CertificationError:
+                pass
 
-    def fake_stage(n, n_terms, bits):
-        calls["count"] += 1
-        return [], mpf(0), calls["count"], mpf("0.4")
 
-    monkeypatch.setattr(rad, "_stage", fake_stage)
-    with pytest.raises(CertificationError):
-        p_series(9)
+def test_truncation_bound_hand_value():
+    # 44 pi^2/(225 sqrt 3)/sqrt 10 + pi sqrt 2/75 sqrt(10/99) sinh(pi sqrt(200/3)/10)
+    exact = 0.474049655066703995
+    t = truncation_bound(100, 10)
+    assert exact <= t <= exact * (1 + 1e-9)
 
 
-def test_remainder_bound_scaling():
-    # dividing N by 4 shifts the log bound by exactly log 2
+def test_truncation_bound_n1_own_bound():
+    # T(1, N) = 2 pi^2/(9 sqrt 3) N^(-1/2) cosh(a/(N+1)), a = alpha(1)
     with CTX.workprec():
-        for n, n_terms in [(1, 1), (3, 8), (12, 5)]:
-            four = remainder_bound_log(n, 4 * n_terms, CTX)
-            one = remainder_bound_log(n, n_terms, CTX)
-            assert abs(four - (one - mp.log(2))) < mpf(2) ** -100
+        a = alpha(1, CTX)
+        for n_terms in (1, 5, 26):
+            exact = 2 * mp.pi**2 / (9 * mp.sqrt(3) * mp.sqrt(n_terms)) * mp.cosh(a / (n_terms + 1))
+            assert exact <= truncation_bound(1, n_terms) <= exact * (1 + mpf("1e-9"))
+    report = p_series(1)
+    assert report.rounded == 1
+    assert report.n_terms_used == terms_needed(1)
+    assert report.truncation_bound < 0.25
 
 
-def test_remainder_bound_direct_value():
-    # C = 2^{7/4} C0 e^{2 pi} + 2^{3/4} pi e^{pi/12 + 2 pi} at n = N = 1
-    with CTX.workprec():
-        c0 = generating_function(mp.exp(-mp.pi / 48), CTX) - 1
-        expected = mp.log(
-            2 ** mpf("1.75") * c0 * mp.exp(2 * mp.pi)
-            + 2 ** mpf("0.75") * mp.pi * mp.exp(mp.pi / 12 + 2 * mp.pi)
-        )
-        assert abs(remainder_bound_log(1, 1, CTX) - expected) < mpf(2) ** -90
+def test_truncation_bound_decreasing_in_n_terms():
+    for n in (1, 2, 50, 1000, 10**5):
+        values = [truncation_bound(n, n_terms) for n_terms in range(1, 400)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] < values[0]
 
 
-def test_remainder_bound_monotone_in_n():
-    values = [remainder_bound_log(n, 10, CTX) for n in (1, 2, 5, 9)]
-    assert all(b > a for a, b in zip(values, values[1:]))
+def test_terms_needed_is_minimal():
+    for n in (1, 2, 3, 10, 100, 1000, 2000, 10**4):
+        n_terms = terms_needed(n)
+        assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1)
+    for n in (1, 10, 1000):
+        assert p_series(n).n_terms_used == terms_needed(n)
 
 
-def test_remainder_bound_validation():
+def test_terms_needed_large_n_does_not_overflow():
+    # sinh(pi sqrt(2n/3)/N) overflows a float at N = 1 from n ~ 7.6e4 on
+    assert truncation_bound(10**6, 1) == math.inf
+    for n in (10**5, 10**6):
+        n_terms = terms_needed(n)
+        assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1)
+    assert terms_needed(10**5) < terms_needed(10**6) < 1000
+
+
+def test_truncation_bound_validation():
     with pytest.raises(ValueError):
-        remainder_bound_log(0, 1, CTX)
+        truncation_bound(0, 1)
     with pytest.raises(ValueError):
-        remainder_bound_log(1, 0, CTX)
+        truncation_bound(1, 0)
+
+
+def test_float_error_bound_covers_double_precision_rerun():
+    for n in (1, 7, 100, 1000, 3000):
+        report = p_series(n)
+        n_terms = report.n_terms_used
+        ctx2 = PrecisionContext(2 * report.prec)
+        with ctx2.workprec():
+            total = mpf(0)
+            for k in range(1, n_terms + 1):
+                total += r_k(n, k, ctx2).r_k
+            diff = abs(report.partial_sum - total)
+        # the rerun carries its own, far smaller, error bound
+        budget = report.float_error_bound + _float_error_bound(n, n_terms, 2 * report.prec)
+        assert diff <= budget
+        assert 0 < report.float_error_bound < 2.0**-40
+
+
+def test_report_error_budget():
+    report = p_series(1000)
+    t, e = report.truncation_bound, report.float_error_bound
+    assert t == truncation_bound(1000, report.n_terms_used)
+    assert t + e < 0.25
+    assert report.gap <= t + e
+
+
+def test_p_series_matches_exact_through_500():
+    cache = PartitionCache()
+    cache.extend_to(500)
+    assert all(p_series(n).rounded == cache[n] for n in range(1, 501))
+
+
+def test_p_series_matches_exact_seeded_sample():
+    rng = random.Random(20240521)
+    sample = sorted(rng.sample(range(501, 15001), 10))
+    cache = PartitionCache()
+    cache.extend_to(sample[-1])
+    for n in sample:
+        assert p_series(n).rounded == cache[n], n
