@@ -27,7 +27,7 @@ from .asymptotics import (
     zeta_three_halves,
 )
 from .bessel import bessel_i_3_2_closed, bessel_i_series
-from .dedekind import a_k, cos_pi_rational, dedekind_sum, exp_i_pi_rational, reciprocity_defect
+from .dedekind import a_k, dedekind_sum, exp_i_pi_rational, reciprocity_defect
 from .eta import (
     EtaCheckReport,
     conjugate_inverse,
@@ -89,7 +89,6 @@ __all__ = [
     "bessel_i_3_2_closed",
     "bessel_i_series",
     "a_k",
-    "cos_pi_rational",
     "dedekind_sum",
     "exp_i_pi_rational",
     "reciprocity_defect",

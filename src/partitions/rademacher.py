@@ -7,10 +7,12 @@ The series is p(n) = sum_{k>=1} R_k(n) with
     m = n - 1/24,  a = alpha(n) = pi sqrt(2m/3),
 
 the hyperbolic form of the derivative expression sqrt(k)/(pi sqrt(2))
-* A_k(n) * d/dn (sinh(alpha(n)/k)/sqrt(n - 1/24)).  Since R_1 is of size
-e^alpha / (4 sqrt(3) n), the working precision must cover alpha*log2(e)
-bits of integer magnitude before any fractional accuracy is left over;
-``default_precision`` adds 64 guard bits on top of that.
+* A_k(n) * d/dn (sinh(alpha(n)/k)/sqrt(n - 1/24)).  As 2m = 3a^2/pi^2,
+the prefactor is P sqrt(k) with P = pi^2/(3 sqrt(3) a^3); a and P depend
+on n alone and are computed once per series, not once per term.  Since R_1
+is of size e^alpha / (4 sqrt(3) n), the working precision must cover
+alpha*log2(e) bits of integer magnitude before any fractional accuracy is
+left over; ``default_precision`` adds 64 guard bits on top of that.
 
 Truncation bound T(n, N) >= |sum_{k>N} R_k(n)|.  For n >= 2 it is
 Lehmer's estimate (Johansson, arXiv 1205.5991, eq. 1.8)
@@ -24,30 +26,46 @@ N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).
 
 Floating-error bound E.  Terms and sum are computed at p = bits +
-GUARD_BITS.  Model: each mpmath operation used (arithmetic, sqrt, pi, cosh,
-sinh, cospi) is exact for its computed operands up to a relative
-eps = 2^(1-p), twice the correct-rounding bound.  Then each cosine in A_k
-is off by (pi+1) eps and A_k by k(k+9) eps/2; u = a/k is off by 5.1 eps
-relatively, so u cosh u - sinh u is off by eps (3 + 5.1u)(u cosh u + sinh u).
-To first order |computed R_k - R_k| <= eps H_k (k/2 + 29 + 5.1 u_k), where
-H_k = pi k^(3/2) (1 + u_k) e^(u_k) / (3 sqrt 2 sqrt(m) a^2) bounds the
-magnitudes that cancel, and summing N terms adds eps N/2 sum H_k.  As
-k <= N and u_k <= a, E = eps N H_N* (2N + 8a + 64), with H_N* the value of
-H_k at k^(3/2) = N^(3/2), u_k = a, bounds the total with the constants
-doubled, which absorbs the second-order terms.  E is evaluated in log
-space and rounded up.
+GUARD_BITS.  Model: each mpmath operation used (arithmetic, integer power,
+sqrt, pi, cosh, sinh, cospi) is exact for its computed operands up to a
+relative eps = 2^(1-p), twice the correct-rounding bound; integers below
+2^p convert exactly.  To first order in eps:
+
+* A_k, by Selberg's formula (see :mod:`partitions.dedekind`).  A_1 and A_2
+  are exact.  For k >= 3 the sum has S <= 2k summands, one per l at most.
+  Each cosine argument (6l+1)/(6k) < 2 is rounded once, so each summand is
+  off by (2 pi + 1) eps; the j-th partial sum has modulus <= j, so the
+  S - 1 additions add eps (2 + ... + S) <= eps k (2k + 1); sqrt(k/3) is off
+  by 3/2 eps relatively and the final product by eps.  With |A_k| <= k,
+  |computed A_k - A_k| <= eps k (5/2 + sqrt(k/3)(2k + 4 pi + 3))
+  <= eps k sqrt(k/3)(2k + 19).
+* a is off by 4.1 eps relatively and P by 21 eps; u = a/k is off by
+  5.1 eps, so u cosh u - sinh u is off by eps (3 + 5.1u)(u cosh u + sinh u);
+  sqrt(k) and the three products add 4 eps.
+
+So |computed R_k - R_k| <= eps H_k (28 + 5.1 u_k + sqrt(k/3)(2k + 19)),
+where H_k = P k^(3/2) (1 + u_k) e^(u_k) bounds the magnitudes that cancel,
+P sqrt(k) |A_k| (u_k cosh u_k + sinh u_k); and, each partial sum being at
+most sum H_k, the N - 1 additions of the sum add eps (N - 1) sum H_k.  As
+k <= N and u_k <= a, with H_N* the value of H_k at k = N, u_k = a,
+
+    E = 2 eps N H_N* (N + 27 + 5.1a + sqrt(N/3)(2N + 19))
+
+bounds the total; the factor 2 absorbs the second-order terms.  E is
+evaluated in log space and rounded up.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
 gap = |S - nint(S)|, which also gives gap < 1/4; otherwise it raises
 :class:`CertificationError`.  There is no retry: at ``default_precision``
-E < 2^-50 for every n up to 10^12, so a failure means too few bits.
+E < 2^-47 for every n up to 10^12, so a failure means too few bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -101,17 +119,27 @@ def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
 
 
+@lru_cache(maxsize=1)
+def _per_n(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
+    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3) at ``ctx``.
+
+    One entry suffices: :func:`p_series` asks :func:`r_k` for every term
+    with the same (n, ctx), so these are computed once per series.
+    """
+    a = alpha(n, ctx)
+    with ctx.workprec():
+        return a, mp.pi**2 / (3 * mp.sqrt(3) * a**3)
+
+
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n) together with its A_k(n) weight."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     with ctx.workprec():
         weight = a_k(k, n, ctx)
-        m = mpf(n) - mpf(1) / 24
-        a = mp.pi * mp.sqrt(2 * m / 3)
+        a, prefactor = _per_n(n, ctx)
         u = a / k
-        bracket = (u * mp.cosh(u) - mp.sinh(u)) / (a * a)
-        value = mp.pi * mp.sqrt(k) / (3 * mp.sqrt(2) * mp.sqrt(m)) * weight * bracket
+        value = prefactor * mp.sqrt(k) * weight * (u * mp.cosh(u) - mp.sinh(u))
         return SeriesTerm(k, weight, value)
 
 
@@ -140,10 +168,10 @@ def terms_needed(n: int) -> int:
 
 def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
     """E >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
-    m = n - 1 / 24
-    a = math.pi * math.sqrt(2 * m / 3)
+    a = math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
+    coeff = n_terms + 27 + 5.1 * a + math.sqrt(n_terms / 3) * (2 * n_terms + 19)
     log_e = (1 - bits - GUARD_BITS) * math.log(2) + math.log1p(a) + a + math.log(
-        math.pi * n_terms**2.5 * (2 * n_terms + 8 * a + 64) / (3 * math.sqrt(2 * m) * a * a)
+        2 * math.pi**2 * n_terms**2.5 * coeff / (3 * math.sqrt(3) * a**3)
     )
     return math.inf if log_e > 700 else math.exp(log_e) * _ROUND_UP
 

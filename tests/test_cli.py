@@ -179,6 +179,10 @@ def test_dedekind_output(capsys):
     assert out.strip() == "1/18"
     code, out, _ = run(["dedekind", "5", "1"], capsys)
     assert out.strip() == "0/1"
+    # s(2,4) = s(1,2) = 0: the sawtooth vanishes where hr/k is an integer
+    code, out, _ = run(["dedekind", "2", "4"], capsys)
+    assert code == 0
+    assert out.strip() == "0/1"
 
 
 def test_dedekind_rejects_bad_k(capsys):

@@ -39,6 +39,32 @@ def test_dedekind_sum_negation():
         assert dedekind_sum(k - h, k) == -dedekind_sum(h, k)
 
 
+def _dedekind_sum_kernel(h, k):
+    """The O(k) definition for coprime h, k, where hr/k is never an integer
+    for 0 < r < k: k^2 s(h,k) = sum r (hr mod k) - k^2 (k-1)/4."""
+    return Fraction(sum(r * ((h * r) % k) for r in range(1, k)), k * k) - Fraction(k - 1, 4)
+
+
+def test_dedekind_sum_matches_kernel_up_to_150():
+    for h, k in coprime_pairs(150):
+        assert dedekind_sum(h, k) == _dedekind_sum_kernel(h, k), (h, k)
+
+
+def test_dedekind_sum_non_coprime():
+    # the sawtooth vanishes at integers: s(2,4) = s(1,2) = 0 and s(0,k) = 0
+    assert dedekind_sum(2, 4) == 0
+    assert dedekind_sum(0, 3) == 0
+    assert dedekind_sum(6, 3) == 0
+    assert dedekind_sum(6, 14) == dedekind_sum(3, 7) == Fraction(-1, 14)
+
+
+@given(st.integers(min_value=-500, max_value=500), st.integers(min_value=1, max_value=200),
+       st.integers(min_value=1, max_value=50))
+@settings(max_examples=100, deadline=None)
+def test_dedekind_sum_scaling(h, k, g):
+    assert dedekind_sum(g * h, g * k) == dedekind_sum(h, k)
+
+
 def test_dedekind_sum_rejects_bad_k():
     with pytest.raises(ValueError):
         dedekind_sum(1, 0)
@@ -97,6 +123,52 @@ def test_a_k_bound():
             assert abs(a_k(k, n, CTX)) <= k + slack
 
 
+def _a_k_h_sum(k, n):
+    """A_k(n) from its definition, h paired with k - h so that each pair
+    gives 2 cos(pi t_h); h = k/2 (k = 2 alone) is self-paired."""
+    total = mpf(0)
+    for h in range(1, k // 2 + 1):
+        if math.gcd(h, k) != 1:
+            continue
+        t = (dedekind_sum(h, k) - Fraction(2 * n * h, k)) % 2
+        c = mp.cospi(mpf(t.numerator) / t.denominator)
+        total += c if 2 * h == k else 2 * c
+    return total if k > 1 else mpf(1)
+
+
+def _selberg_roots(k, n):
+    return [l for l in range(2 * k) if (l * (3 * l + 1) // 2 + n) % k == 0]
+
+
+SELBERG_CTX = PrecisionContext(200)
+SELBERG_TOL = mpf(2) ** -100
+
+
+def _check_against_h_sum(k, n):
+    with SELBERG_CTX.workprec():
+        assert abs(a_k(k, n, SELBERG_CTX) - _a_k_h_sum(k, n)) <= SELBERG_TOL, (k, n)
+
+
+def test_a_k_selberg_matches_h_sum_every_k_to_120():
+    for k in range(1, 121):
+        for n in (1, 2, 47, 1000, 123457):
+            _check_against_h_sum(k, n)
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_a_k_selberg_matches_h_sum_random(k, n):
+    _check_against_h_sum(k, n)
+
+
+def test_a_k_selberg_extra_roots():
+    # k = p^2 with p^2 | 24n - 1: the congruence has 2p roots, not 2 or 0
+    for k, n, roots in ((25, 24, 10), (49, 47, 14), (121, 116, 22)):
+        assert (24 * n - 1) % k == 0
+        assert len(_selberg_roots(k, n)) == roots
+        _check_against_h_sum(k, n)
+
+
 def _a_k_naive(k, n):
     """Unpaired complex-exponential sum; independent check of the pairing."""
     total = mpc(0)
@@ -114,7 +186,7 @@ def test_a_k_pairing_matches_naive_sum():
     with CTX.workprec():
         for k in range(1, 26):
             for n in (1, 5, 12, 30):
-                paired = a_k(k, n, CTX)
                 naive = _a_k_naive(k, n)
                 assert abs(naive.imag) <= tol
-                assert abs(paired - naive.real) <= tol
+                assert abs(a_k(k, n, CTX) - naive.real) <= tol
+                assert abs(_a_k_h_sum(k, n) - naive.real) <= tol

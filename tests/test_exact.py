@@ -1,5 +1,7 @@
+import multiprocessing
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,3 +228,43 @@ def test_cache_load_truncated(tmp_path):
     path.write_bytes(data[:-2])
     with pytest.raises(CacheFormatError, match="line 21.*truncated"):
         cache_load(path)
+
+
+def _save_in_loop(max_n, path, rounds):
+    cache = PartitionCache()
+    cache.extend_to(max_n)
+    for _ in range(rounds):
+        cache_save(cache, path)
+
+
+def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
+    path = tmp_path / "p.csv"
+    tables = {}
+    for max_n in (300, 600):
+        tables[max_n] = PartitionCache()
+        tables[max_n].extend_to(max_n)
+    spawn = multiprocessing.get_context("spawn")
+    writers = [
+        spawn.Process(target=_save_in_loop, args=(max_n, str(path), 300)) for max_n in tables
+    ]
+    for writer in writers:
+        writer.start()
+    loads = 0
+    try:
+        deadline = time.monotonic() + 60
+        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+            try:
+                loaded = cache_load(path)
+            except FileNotFoundError:
+                continue
+            assert loaded == tables.get(loaded.max_n), loaded.max_n
+            loads += 1
+    finally:
+        for writer in writers:
+            writer.join(timeout=60)
+            if writer.is_alive():
+                writer.kill()
+    assert [w.exitcode for w in writers] == [0, 0]
+    assert cache_load(path) in tables.values()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+    assert loads > 0, "no load overlapped the writers"

@@ -223,16 +223,35 @@ def test_report_error_budget():
     assert report.gap <= t + e
 
 
-def test_p_series_matches_exact_through_500():
+@pytest.fixture(scope="module")
+def exact_table():
     cache = PartitionCache()
-    cache.extend_to(500)
-    assert all(p_series(n).rounded == cache[n] for n in range(1, 501))
+    cache.extend_to(50_000)
+    return cache
 
 
-def test_p_series_matches_exact_seeded_sample():
+def test_p_series_matches_exact_through_500(exact_table):
+    assert all(p_series(n).rounded == exact_table[n] for n in range(1, 501))
+
+
+def test_p_series_matches_exact_seeded_sample(exact_table):
     rng = random.Random(20240521)
     sample = sorted(rng.sample(range(501, 15001), 10))
-    cache = PartitionCache()
-    cache.extend_to(sample[-1])
     for n in sample:
-        assert p_series(n).rounded == cache[n], n
+        assert p_series(n).rounded == exact_table[n], n
+
+
+def test_p_series_matches_exact_up_to_50000(exact_table):
+    rng = random.Random(20261018)
+    for n in sorted(rng.sample(range(15001, 50001), 4)):
+        assert p_series(n).rounded == exact_table[n], n
+
+
+def test_p_series_ramanujan_congruences():
+    # p(5j+4) = 0 mod 5, p(7j+5) = 0 mod 7, p(11j+6) = 0 mod 11: a check
+    # beyond the range of the exact table
+    rng = random.Random(5711)
+    for modulus, residue in ((5, 4), (7, 5), (11, 6)):
+        for _ in range(3):
+            n = modulus * rng.randrange(20_000 // modulus, 200_000 // modulus) + residue
+            assert p_series(n).rounded % modulus == 0, n
