@@ -15,122 +15,62 @@ analytic route rests on:
 * :mod:`partitions.farey`, :mod:`partitions.bessel` -- the contour geometry
   (Farey fractions, Ford circles, w-plane chords) and the modified Bessel
   function behind the series terms.
+
+Submodules load on first use (PEP 562), so ``import partitions.exact``
+or ``partitions exact N`` does not import mpmath.
 """
 
-from .asymptotics import (
-    TABLE_NS,
-    AsymptoticRow,
-    display_eps,
-    leading_term,
-    relative_error_table,
-    tail_ratio_bound,
-    zeta_three_halves,
-)
-from .bessel import bessel_i_3_2_closed, bessel_i_series
-from .dedekind import a_k, dedekind_sum, exp_i_pi_rational, reciprocity_defect
-from .eta import (
-    EtaCheckReport,
-    conjugate_inverse,
-    eta,
-    generating_function,
-    verify_eta,
-    verify_f_transform,
-)
-from .exact import (
-    ORACLE_LIMIT,
-    CacheFormatError,
-    PartitionCache,
-    PentagonalPair,
-    cache_load,
-    cache_save,
-    p_exact,
-    p_oracle_dp,
-    partition_table_dp,
-    pentagonal,
-)
-from .farey import (
-    FordCircle,
-    QPoint,
-    TangencyPair,
-    WChord,
-    arc_length_bound_check,
-    chord_bounds_check,
-    farey_neighbors_check,
-    farey_sequence,
-    ford_circle,
-    ford_tangency_class,
-    rademacher_path,
-    tangency_points,
-    w_chord,
-)
-from .precision import DEFAULT_CONTEXT, PrecisionContext
-from .rademacher import (
-    CertificationError,
-    SeriesReport,
-    SeriesTerm,
-    alpha,
-    default_precision,
-    p_series,
-    r_k,
-    terms_needed,
-    truncation_bound,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TABLE_NS",
-    "AsymptoticRow",
-    "display_eps",
-    "leading_term",
-    "relative_error_table",
-    "tail_ratio_bound",
-    "zeta_three_halves",
-    "bessel_i_3_2_closed",
-    "bessel_i_series",
-    "a_k",
-    "dedekind_sum",
-    "exp_i_pi_rational",
-    "reciprocity_defect",
-    "EtaCheckReport",
-    "conjugate_inverse",
-    "eta",
-    "generating_function",
-    "verify_eta",
-    "verify_f_transform",
-    "ORACLE_LIMIT",
-    "CacheFormatError",
-    "PartitionCache",
-    "PentagonalPair",
-    "cache_load",
-    "cache_save",
-    "p_exact",
-    "p_oracle_dp",
-    "partition_table_dp",
-    "pentagonal",
-    "FordCircle",
-    "QPoint",
-    "TangencyPair",
-    "WChord",
-    "arc_length_bound_check",
-    "chord_bounds_check",
-    "farey_neighbors_check",
-    "farey_sequence",
-    "ford_circle",
-    "ford_tangency_class",
-    "rademacher_path",
-    "tangency_points",
-    "w_chord",
-    "DEFAULT_CONTEXT",
-    "PrecisionContext",
-    "CertificationError",
-    "SeriesReport",
-    "SeriesTerm",
-    "alpha",
-    "default_precision",
-    "p_series",
-    "r_k",
-    "terms_needed",
-    "truncation_bound",
-    "__version__",
-]
+# submodule -> the public names it defines; __all__ and the lookup table derive from it
+_EXPORTS = {
+    "asymptotics": "TABLE_NS AsymptoticRow display_eps leading_term "
+                   "relative_error_table tail_ratio_bound zeta_three_halves",
+    "bessel": "bessel_i_3_2_closed bessel_i_series",
+    "dedekind": "a_k dedekind_sum exp_i_pi_rational reciprocity_defect",
+    "eta": "EtaCheckReport conjugate_inverse eta generating_function "
+           "verify_eta verify_f_transform",
+    "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "
+             "cache_save p_exact p_oracle_dp partition_table_dp pentagonal",
+    "farey": "FordCircle QPoint TangencyPair WChord arc_length_bound_check "
+             "chord_bounds_check farey_neighbors_check farey_sequence ford_circle "
+             "ford_tangency_class rademacher_path tangency_points w_chord",
+    "precision": "DEFAULT_CONTEXT PrecisionContext",
+    "rademacher": "CertificationError SeriesReport SeriesTerm alpha default_precision "
+                  "p_series r_k terms_needed truncation_bound",
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # The import system binds a loaded submodule as an attribute of the
+        # package. ``eta`` names both a submodule and its function; keep the
+        # function, as an eager ``from .eta import eta`` would.
+        if isinstance(value, types.ModuleType) and name in _SUBMODULE:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

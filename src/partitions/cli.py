@@ -21,16 +21,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
-
-from .asymptotics import TABLE_NS, display_eps, relative_error_table
-from .dedekind import a_k, dedekind_sum
-from .bessel import bessel_i_3_2_closed, bessel_i_series
-from .eta import verify_eta, verify_f_transform
 from .exact import PartitionCache, cache_load, cache_save, p_exact
-from .farey import farey_sequence, w_chord
-from .precision import PrecisionContext
-from .rademacher import CertificationError, default_precision, p_series
+
+# The mpmath-backed modules are imported inside the handlers that use them,
+# so `partitions exact N` never pays for importing mpmath.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
 
@@ -149,6 +143,10 @@ def _cmd_exact(cfg: CliConfig, args) -> int:
 
 
 def _cmd_series(cfg: CliConfig, args) -> int:
+    from mpmath import mp
+
+    from .rademacher import CertificationError, default_precision, p_series
+
     if args.n < 1:
         raise UsageError("n must be a positive integer")
     prec = _parse_prec(cfg.precision_bits)
@@ -157,7 +155,11 @@ def _cmd_series(cfg: CliConfig, args) -> int:
         bits = max(bits, prec)  # --prec only raises the policy precision
     if args.terms is not None and args.terms < 1:
         raise UsageError("--terms must be positive")
-    report = p_series(args.n, initial_terms=args.terms, prec=bits)
+    try:
+        report = p_series(args.n, initial_terms=args.terms, prec=bits)
+    except CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     payload = {
         "n": report.n,
         "prec_bits": report.prec,
@@ -177,6 +179,11 @@ def _cmd_series(cfg: CliConfig, args) -> int:
 
 
 def _cmd_asym(cfg: CliConfig, args) -> int:
+    from mpmath import mp
+
+    from .asymptotics import display_eps, relative_error_table
+    from .precision import PrecisionContext
+
     if args.n < 1:
         raise UsageError("n must be a positive integer")
     ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
@@ -199,6 +206,10 @@ def _cmd_asym(cfg: CliConfig, args) -> int:
 
 
 def _cmd_table(cfg: CliConfig, args) -> int:
+    from mpmath import mp
+
+    from .asymptotics import TABLE_NS, display_eps, relative_error_table
+
     if args.table_set == "paper":
         ns = list(TABLE_NS)
     else:
@@ -217,6 +228,8 @@ def _cmd_table(cfg: CliConfig, args) -> int:
 
 
 def _cmd_farey(cfg: CliConfig, args) -> int:
+    from .farey import farey_sequence
+
     if args.order < 1:
         raise UsageError("N must be a positive integer")
     print("h,k")
@@ -226,16 +239,15 @@ def _cmd_farey(cfg: CliConfig, args) -> int:
 
 
 def _cmd_ford(cfg: CliConfig, args) -> int:
+    from .farey import contour_triples, w_chord
+
     if args.order < 1:
         raise UsageError("N must be a positive integer")
-    seq = farey_sequence(args.order)
-    extended = seq + [Fraction(args.order + 1, args.order)]
     print("h,k,k1,k2,w1_re,w1_im,w2_re,w2_im")
-    for j in range(1, len(seq)):
-        chord = w_chord(extended[j - 1], extended[j], extended[j + 1], args.order)
-        frac = extended[j]
+    for prev, mid, nxt in contour_triples(args.order):
+        chord = w_chord(prev, mid, nxt, args.order)
         print(
-            f"{frac.numerator},{frac.denominator},{chord.k1},{chord.k2},"
+            f"{mid.numerator},{mid.denominator},{chord.k1},{chord.k2},"
             f"{_frac_str(chord.w1.re)},{_frac_str(chord.w1.im)},"
             f"{_frac_str(chord.w2.re)},{_frac_str(chord.w2.im)}"
         )
@@ -243,6 +255,8 @@ def _cmd_ford(cfg: CliConfig, args) -> int:
 
 
 def _cmd_dedekind(cfg: CliConfig, args) -> int:
+    from .dedekind import dedekind_sum
+
     if args.k < 1:
         raise UsageError("k must be a positive integer")
     value = dedekind_sum(args.h, args.k)
@@ -251,6 +265,11 @@ def _cmd_dedekind(cfg: CliConfig, args) -> int:
 
 
 def _cmd_ak(cfg: CliConfig, args) -> int:
+    from mpmath import mp
+
+    from .dedekind import a_k
+    from .precision import PrecisionContext
+
     if args.k < 1 or args.n < 1:
         raise UsageError("k and n must be positive integers")
     ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
@@ -259,6 +278,11 @@ def _cmd_ak(cfg: CliConfig, args) -> int:
 
 
 def _cmd_bessel(cfg: CliConfig, args) -> int:
+    from mpmath import mp
+
+    from .bessel import bessel_i_3_2_closed, bessel_i_series
+    from .precision import PrecisionContext
+
     ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
     try:
         x = ctx.real(args.x)
@@ -278,6 +302,8 @@ def _cmd_bessel(cfg: CliConfig, args) -> int:
 
 def eta_verification_cases(count: int):
     """Deterministic (matrix, tau) stream: determinant-1 matrices with c > 0."""
+    from mpmath import mpc
+
     taus = (
         mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.25", "1.1"),
         mpc("0.5", "0.6"), mpc("0.7", "1.4"), mpc("-0.4", "0.9"),
@@ -298,6 +324,8 @@ def eta_verification_cases(count: int):
 
 def f_transform_cases(count: int):
     """Deterministic (h, k, z) stream with Re z > 0."""
+    from mpmath import mpc
+
     zs = (
         mpc(1), mpc("0.5"), mpc(1, "0.4"), mpc("0.8", "-0.3"),
         mpc("1.3", "0.2"), mpc("0.6"), mpc("0.9", "0.7"),
@@ -314,6 +342,11 @@ def f_transform_cases(count: int):
 
 
 def _cmd_verify(cfg: CliConfig, args) -> int:
+    from mpmath import mp, mpf
+
+    from .eta import verify_eta, verify_f_transform
+    from .precision import PrecisionContext
+
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     bits = _parse_prec(cfg.precision_bits) or 128
@@ -380,9 +413,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,9 @@ tables p(0..max_n) with a line-per-value text serialization.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
+from operator import itemgetter
 from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
@@ -35,6 +37,15 @@ def pentagonal(k: int) -> PentagonalPair:
         raise ValueError("k must be a positive integer")
     w1 = (3 * k * k - k) // 2
     return PentagonalPair(k, w1, w1 + k)
+
+
+def _signed_pentagonal():
+    """Generalised pentagonal numbers w1(1), w2(1), w1(2), ... in increasing
+    order, each with the sign of its term in the recurrence (1 for +, 0 for -)."""
+    for k in itertools.count(1):
+        _, w1, w2 = pentagonal(k)
+        yield w1, k & 1
+        yield w2, k & 1
 
 
 class CacheFormatError(ValueError):
@@ -76,31 +87,33 @@ class PartitionCache:
         return f"PartitionCache(max_n={self.max_n})"
 
     def extend_to(self, n: int) -> None:
-        """Run the pentagonal recurrence until p(n) is in the table."""
+        """Run the pentagonal recurrence until p(n) is in the table.
+
+        While p(m) is computed the table holds p(0..m-1), so p(m - w) is
+        the entry at index -w.  The offsets w <= m change only when m
+        reaches the next generalised pentagonal number, so each run of m
+        between two of them reuses one getter per sign and costs two
+        C-level sums, with no Python bytecode per term.
+        """
         vals = self._values
-        if n <= len(vals) - 1:
+        m = len(vals)
+        if n < m:
             return
-        pairs = []
-        k = 1
-        while True:
-            w1 = (3 * k * k - k) // 2
-            if w1 > n:
-                break
-            pairs.append((w1, w1 + k, k & 1))
-            k += 1
-        for m in range(len(vals), n + 1):
-            total = 0
-            for w1, w2, odd in pairs:
-                if w1 > m:
-                    break
-                t = vals[m - w1]
-                if w2 <= m:
-                    t += vals[m - w2]
-                if odd:
-                    total += t
-                else:
-                    total -= t
-            vals.append(total)
+        offsets = _signed_pentagonal()
+        w, odd = next(offsets)
+        plus, minus = [], []
+        while m <= n:
+            while w <= m:
+                (plus if odd else minus).append(-w)
+                w, odd = next(offsets)
+            # index 0 holds p(0) = 1: two pads per getter make it return a
+            # tuple even for zero or one offsets, and cancel in the difference
+            add = itemgetter(*plus, 0, 0)
+            sub = itemgetter(*minus, 0, 0)
+            stop = min(w, n + 1)
+            for _ in range(m, stop):
+                vals.append(sum(add(vals)) - sum(sub(vals)))
+            m = stop
 
 
 def p_exact(n: int, cache: PartitionCache | None = None) -> int:

@@ -146,9 +146,9 @@ def tangency_points(prev, mid, nxt) -> TangencyPair:
     return TangencyPair(mid, alpha1, alpha2, k1, k2)
 
 
-def rademacher_path(order: int) -> list[TangencyPair]:
-    """Arc records of the contour P(order), one per fraction of F_order
-    except 0/1.
+def contour_triples(order: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Consecutive triples (prev, mid, next) of the contour P(order), one per
+    fraction of F_order except 0/1.
 
     The two half arcs at 0/1 and 1/1 fuse into a single arc for 1/1 whose
     right neighbour is the extended fraction (order+1)/order, so the path
@@ -157,12 +157,13 @@ def rademacher_path(order: int) -> list[TangencyPair]:
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    seq = farey_sequence(order)
-    extended = seq + [Fraction(order + 1, order)]
-    return [
-        tangency_points(extended[j - 1], extended[j], extended[j + 1])
-        for j in range(1, len(seq))
-    ]
+    extended = farey_sequence(order) + [Fraction(order + 1, order)]
+    return list(zip(extended, extended[1:], extended[2:]))
+
+
+def rademacher_path(order: int) -> list[TangencyPair]:
+    """Arc records of the contour P(order), one per :func:`contour_triples`."""
+    return [tangency_points(*triple) for triple in contour_triples(order)]
 
 
 def w_chord(prev, mid, nxt, order: int) -> WChord:

@@ -22,6 +22,41 @@ from partitions.exact import (
 P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
 
 
+def _extend_oracle(vals, n):
+    """Reference for ``PartitionCache.extend_to``: the recurrence with one
+    Python step per term, appending p(len(vals)..n) to ``vals``."""
+    pairs = []
+    k = 1
+    while True:
+        w1 = (3 * k * k - k) // 2
+        if w1 > n:
+            break
+        pairs.append((w1, w1 + k, k & 1))
+        k += 1
+    for m in range(len(vals), n + 1):
+        total = 0
+        for w1, w2, odd in pairs:
+            if w1 > m:
+                break
+            t = vals[m - w1]
+            if w2 <= m:
+                t += vals[m - w2]
+            if odd:
+                total += t
+            else:
+                total -= t
+        vals.append(total)
+    return vals
+
+
+ORACLE_TOP = 1300
+P_ORACLE = _extend_oracle([1], ORACLE_TOP)
+# w1(k), w2(k) and their neighbours: where the kernel's set of offsets changes
+PENTAGONAL_EDGES = sorted(
+    {w + d for k in range(1, 30) for w in pentagonal(k)[1:] for d in (-1, 0, 1)}
+)
+
+
 def test_pentagonal_small():
     assert pentagonal(1) == (1, 1, 2)
     assert pentagonal(2) == (2, 5, 7)
@@ -93,15 +128,41 @@ def test_dp_oracle_limit():
 
 def test_recurrence_matches_dp_table():
     cache = PartitionCache()
-    p_exact(300, cache)
-    table = partition_table_dp(300)
-    assert all(cache[n] == table[n] for n in range(301))
+    p_exact(2000, cache)
+    table = partition_table_dp(2000)
+    assert [cache[n] for n in range(2001)] == _extend_oracle([1], 2000) == table
 
 
 @given(st.integers(min_value=0, max_value=250))
 @settings(max_examples=30, deadline=None)
 def test_recurrence_matches_dp_random(n):
     assert p_exact(n) == p_oracle_dp(n)
+
+
+@given(
+    targets=st.lists(
+        st.sampled_from(PENTAGONAL_EDGES) | st.integers(0, ORACLE_TOP), min_size=1, max_size=8
+    ),
+    prefix=st.none() | st.sampled_from(PENTAGONAL_EDGES) | st.integers(0, ORACLE_TOP),
+)
+@settings(max_examples=40, deadline=None)
+def test_extend_in_steps_matches_one_pass_and_oracle(targets, prefix):
+    targets.sort()
+    if prefix is None:
+        cache = PartitionCache()
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prefix.csv")
+            cache_save(PartitionCache(P_ORACLE[: prefix + 1]), path)
+            cache = cache_load(path)
+    for target in targets:
+        cache.extend_to(target)
+        assert cache.max_n == max(target, prefix or 0)
+    top = cache.max_n
+    one_pass = PartitionCache()
+    one_pass.extend_to(top)
+    assert cache == one_pass
+    assert [cache[n] for n in range(top + 1)] == P_ORACLE[: top + 1]
 
 
 def test_cache_constructor_validation():

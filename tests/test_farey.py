@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partitions import cli
 from partitions.farey import (
     QPoint,
     arc_length_bound_check,
@@ -156,6 +157,29 @@ def test_path_order_one():
 def test_path_order_three():
     arcs = rademacher_path(3)
     assert [arc.frac for arc in arcs] == [F(1, 3), F(1, 2), F(2, 3), F(1)]
+
+
+# `partitions ford 5` as printed before the contour triples moved into farey
+FORD_5_CSV = """\
+h,k,k1,k2,w1_re,w1_im,w2_re,w2_im
+1,5,1,4,25/26,5/26,25/41,-20/41
+1,4,5,3,16/41,20/41,16/25,-12/25
+1,3,4,5,9/25,12/25,9/34,-15/34
+2,5,3,2,25/34,15/34,25/29,-10/29
+1,2,5,5,4/29,10/29,4/29,-10/29
+3,5,2,3,25/29,10/29,25/34,-15/34
+2,3,5,4,9/34,15/34,9/25,-12/25
+3,4,3,5,16/25,12/25,16/41,-20/41
+4,5,4,1,25/41,20/41,25/26,-5/26
+1,1,5,5,1/26,5/26,1/26,-5/26
+"""
+
+
+def test_ford_cli_golden_order_5(capsys):
+    assert cli.main(["ford", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert out == FORD_5_CSV
+    assert err == ""
 
 
 def test_path_arcs_chain():

@@ -1,0 +1,70 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import partitions
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run(script):
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_every_exported_name_resolves():
+    import partitions.eta  # noqa: F401 -- binds the submodule the way any import route does
+
+    namespace = {}
+    exec("from partitions import *", namespace)
+    for module, names in partitions._EXPORTS.items():
+        source = importlib.import_module(f"partitions.{module}")
+        for name in names.split():
+            assert getattr(partitions, name) is getattr(source, name), name
+            assert namespace[name] is getattr(source, name), name
+    assert callable(partitions.eta)
+    assert set(partitions.__all__) <= set(dir(partitions))
+
+
+@pytest.mark.parametrize("first", ["import partitions.eta", "from partitions import verify_eta"])
+def test_eta_stays_the_function_whichever_import_comes_first(first):
+    # eta is both a submodule and a function; the function must win in a fresh process
+    out = _run(
+        f"{first}\n"
+        "import partitions\n"
+        "from partitions import eta\n"
+        "namespace = {}\n"
+        "exec('from partitions import *', namespace)\n"
+        "assert eta is partitions.eta is namespace['eta']\n"
+        "print(abs(eta(1j)) > 0.76)\n"
+    )
+    assert out == "True\n"
+
+
+def test_submodules_are_attributes_after_bare_import():
+    out = _run(
+        "import partitions\n"
+        "print(partitions.rademacher.p_series(100).rounded, partitions.dedekind.a_k(1, 5))\n"
+    )
+    assert out.split()[0] == "190569292"
+
+
+def test_exact_cli_does_not_import_mpmath():
+    script = (
+        "import sys\n"
+        "import partitions.cli\n"
+        "assert partitions.cli.main(['exact', '30']) == 0\n"
+        "assert 'mpmath' not in sys.modules, sorted(m for m in sys.modules if 'mpmath' in m)\n"
+    )
+    assert _run(script) == "5604\n"
