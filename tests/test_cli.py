@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+
+import pytest
 
 from partitions import cli
 from partitions.exact import cache_load
@@ -299,3 +303,65 @@ def test_truncated_cache_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "truncated" in err
+
+
+# Every subcommand, each --format where one is honoured, and the invalid
+# inputs; long outputs are pinned by the SHA-256 of their text.
+GOLDEN = [
+    ("exact 7", 0, "15\n"),
+    ("--format csv exact 7", 0, "n,p_n\n7,15\n"),
+    ("--format json exact 7", 0, '{"n": 7, "p": "15"}\n'),
+    ("exact 200", 0, "3972999029388\n"),
+    ("exact -1", 2, ""),
+    ("series 7", 0, "sha256:11b903bdfc95991912007780b1c3483f5f0fcd05a75ea331a151de08bf39ab1f"),
+    ("series 200", 0, "sha256:a3b3d4d95c166caf9e4ab493bfb2c16557a5052e933d0f8985797afa57499402"),
+    ("series 7 --terms 3 --prec 80", 0, "sha256:b535b1f0408ceaecec7f9680da70e70980f8ae58da0d56f26e6a5c23ebd2c59e"),
+    ("series 0", 2, ""),
+    ("series -3", 2, ""),
+    ("series 7 --prec 63", 2, ""),
+    ("series 7 --terms 0", 2, ""),
+    ("asym 10", 0, "sha256:c93c969c7b874d8c644d944a5101fccfebd69db2210c2248dd725db6714b1d76"),
+    ("--format csv asym 10", 0, "sha256:907ca4fbf433a3a5b4055be893d6f6d1439f00af90d123c471fa4de581b930d7"),
+    ("--format json asym 50", 0, "sha256:6043f317bb1bcdfe4a5101e768aa960bc3c21ad751f8a4fda5595c060b1fb1bc"),
+    ("asym 10 --prec 200", 0, "sha256:c93c969c7b874d8c644d944a5101fccfebd69db2210c2248dd725db6714b1d76"),
+    ("asym 0", 2, ""),
+    ("asym 10 --prec 63", 2, ""),
+    ("table --list 10,50", 0, "sha256:9cfe6279df077050afa2adefb65264110729f577893e9873701b4a907ce68757"),
+    ("table --list 0", 2, ""),
+    ("table --list 10,x", 2, ""),
+    ("table --list ,", 2, ""),
+    ("farey 5", 0, "sha256:ce66ff621bd90642197142ee34d0161550970f3ff79a79e7ae3df8919b62e00a"),
+    ("farey 0", 2, ""),
+    ("ford 5", 0, "sha256:9fa359ea8ae254da61c880072142f4d22b5224ec862c318baf483359791b5fa2"),
+    ("ford 0", 2, ""),
+    ("dedekind 5 7", 0, "-1/14\n"),
+    ("dedekind 1 0", 2, ""),
+    ("ak 6 4", 0, "-1.9696155060244161187\n"),
+    ("ak 3 2 --prec 100", 0, "-1.2855752193730786526\n"),
+    ("ak 0 5", 2, ""),
+    ("ak 5 0", 2, ""),
+    ("ak 1 5 --prec 63", 2, ""),
+    ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
+    ("bessel 2.5 --prec 100", 0, "sha256:b0bf8d2b0d5fa50d90e7c147f323450421d1ce098ee0ff9db9a84aee1393587a"),
+    ("bessel 0", 2, ""),
+    ("bessel -1", 2, ""),
+    ("bessel bogus", 2, ""),
+    ("bessel 1 --prec 63", 2, ""),
+    ("verify eta --samples 3", 0, "sha256:17f18cde3ba6be2fd628da5a11dc9a3b23c102f3b53233bba9124f030faa7cb9"),
+    ("verify ftransform --samples 3 --prec 100", 0, "sha256:ab4c6cdf133b797012f56b21a452deae76899358984b8148791bc00cc0743e13"),
+    ("verify eta --samples 0", 2, ""),
+    ("verify eta --prec 63", 2, ""),
+]
+
+
+@pytest.mark.parametrize("line,code,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(line, code, expected, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    got_code, out, err = run(shlex.split(line), capsys)
+    assert got_code == code, err
+    if expected.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
+    else:
+        assert out == expected
+    if code == 2:
+        assert out == "" and err != ""
