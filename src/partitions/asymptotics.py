@@ -6,15 +6,13 @@ negative and shrinking in magnitude over the reference grid.
 
 tail_ratio_bound gives (2 C pi^2 n / 3) exp(-(pi/2) sqrt(2n/3)) with
 C = zeta(3/2) - 1, an upper bound for |p(n) - R_1(n)| / L(n) that decays
-to zero; zeta(3/2) is evaluated by direct summation with an
-Euler-Maclaurin tail (about 35 correct digits, far beyond need).
+to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -72,32 +70,10 @@ def display_eps(eps) -> str:
     return str(quantized)
 
 
-@lru_cache(maxsize=None)
-def _zeta_three_halves_bits(bits: int) -> mpf:
-    # direct sum to K plus Euler-Maclaurin tail at N = K+1:
-    #   sum_{k>=N} k^-s = N^(1-s)/(s-1) + N^-s/2 + s/12 N^(-s-1)
-    #                     - s(s+1)(s+2)/720 N^(-s-3)
-    #                     + s..(s+4)/30240 N^(-s-5) + O(N^(-s-7))
-    # K = 10^4 puts the omitted term near 10^-36.
-    K = 10_000
-    with mp.workprec(bits + 16):
-        s = mpf(3) / 2
-        total = mpf(0)
-        for k in range(K, 0, -1):  # ascending magnitude for a tame rounding path
-            total += 1 / (k * mp.sqrt(k))
-        big_n = mpf(K + 1)
-        tail = (
-            big_n ** (1 - s) / (s - 1)
-            + big_n**-s / 2
-            + s / 12 * big_n ** (-s - 1)
-            - s * (s + 1) * (s + 2) / 720 * big_n ** (-s - 3)
-            + s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240 * big_n ** (-s - 5)
-        )
-        return total + tail
-
-
 def zeta_three_halves(ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    return _zeta_three_halves_bits(ctx.bits)
+    """zeta(3/2) = 2.6123753486..., correct to the working precision of ``ctx``."""
+    with ctx.workprec():
+        return mp.zeta(mpf(3) / 2)
 
 
 def tail_ratio_bound(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:

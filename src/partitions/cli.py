@@ -5,9 +5,11 @@ series evaluation, asymptotics, the error table, Farey/Ford data, Dedekind
 sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
 
 Exit codes: 0 on success, 1 when a verification or series certification
-fails (and for I/O trouble), 2 for usage errors.  All error text goes to
-stderr.  Output is deterministic for fixed arguments: summation orders,
-sample schedules, and precision policies contain no randomness.
+fails (and for I/O trouble), 2 for usage errors: argparse checks the flags,
+and the library function that receives any other value checks it and
+raises ValueError.  All error text goes to stderr.  Output is deterministic
+for fixed arguments: summation orders, sample schedules, and precision
+policies contain no randomness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PartitionCache, cache_load, cache_save, p_exact
@@ -29,34 +30,32 @@ from .exact import PartitionCache, cache_load, cache_save, p_exact
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
 
 
-@dataclass
-class CliConfig:
-    precision_bits: int | None = None
-    cache_path: str | None = None
-    output_format: str = "plain"
-
-
-class UsageError(Exception):
-    pass
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_prec(value) -> int | None:
-    if value is None:
-        return None
-    if value < 64:
-        raise UsageError("--prec must be at least 64 bits")
+def precision_bits(text: str) -> int:
+    """argparse type for ``--prec``: working bits, at least 64."""
+    bits = int(text)
+    if bits < 64:
+        raise argparse.ArgumentTypeError("must be at least 64 bits")
+    return bits
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
 @contextmanager
 def _cached(path):
     """The cache at ``path`` (empty if none), saved afterwards if it grew."""
-    cache = cache_load(path) if path and os.path.exists(path) else PartitionCache()
-    loaded_max_n = cache.max_n if cache.source_path else -1
+    loaded = bool(path) and os.path.exists(path)
+    cache = cache_load(path) if loaded else PartitionCache()
+    loaded_max_n = cache.max_n if loaded else -1
     yield cache
     if path and cache.max_n > loaded_max_n:
         cache_save(cache, path)
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache",
-        default=None,
+        default=os.environ.get(CACHE_ENV_VAR),
         metavar="PATH",
         help=f"partition value cache file (default: ${CACHE_ENV_VAR})",
     )
@@ -86,12 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="certified series evaluation of p(n), JSON report")
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=int, default=None, help="working bits (raises the default only)")
-    p.add_argument("--terms", type=int, default=None, help="minimum term count")
+    p.add_argument("--prec", type=precision_bits, default=None,
+                   help="working bits (raises the default only)")
+    p.add_argument("--terms", type=positive_int, default=None, help="minimum term count")
 
     p = sub.add_parser("asym", help="leading term L(n) and relative error")
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=precision_bits, default=128)
 
     p = sub.add_parser("table", help="error table as CSV")
     group = p.add_mutually_exclusive_group(required=True)
@@ -113,28 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ak", help="A_k(n) as a decimal")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=precision_bits, default=128)
 
     p = sub.add_parser("bessel", help="I_{3/2}(x) by series and closed form")
     p.add_argument("x")
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=precision_bits, default=128)
 
     p = sub.add_parser("verify", help="numerical checks of the transformation laws")
     p.add_argument("what", choices=("eta", "ftransform"))
-    p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--samples", type=positive_int, default=24)
+    p.add_argument("--prec", type=precision_bits, default=128)
 
     return parser
 
 
-def _cmd_exact(cfg: CliConfig, args) -> int:
-    if args.n < 0:
-        raise UsageError("n must be nonnegative")
-    with _cached(cfg.cache_path) as cache:
+def _cmd_exact(args) -> int:
+    with _cached(args.cache) as cache:
         value = p_exact(args.n, cache)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"n": args.n, "p": str(value)}))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("n,p_n")
         print(f"{args.n},{value}")
     else:
@@ -142,19 +140,12 @@ def _cmd_exact(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_series(cfg: CliConfig, args) -> int:
+def _cmd_series(args) -> int:
     from mpmath import mp
 
     from .rademacher import CertificationError, default_precision, p_series
 
-    if args.n < 1:
-        raise UsageError("n must be a positive integer")
-    prec = _parse_prec(cfg.precision_bits)
-    bits = default_precision(args.n)
-    if prec is not None:
-        bits = max(bits, prec)  # --prec only raises the policy precision
-    if args.terms is not None and args.terms < 1:
-        raise UsageError("--terms must be positive")
+    bits = max(default_precision(args.n), args.prec or 0)  # --prec only raises it
     try:
         report = p_series(args.n, initial_terms=args.terms, prec=bits)
     except CertificationError as exc:
@@ -178,25 +169,23 @@ def _cmd_series(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_asym(cfg: CliConfig, args) -> int:
+def _cmd_asym(args) -> int:
     from mpmath import mp
 
     from .asymptotics import display_eps, relative_error_table
     from .precision import PrecisionContext
 
-    if args.n < 1:
-        raise UsageError("n must be a positive integer")
-    ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
-    with _cached(cfg.cache_path) as cache:
+    ctx = PrecisionContext(args.prec)
+    with _cached(args.cache) as cache:
         row = relative_error_table([args.n], cache, ctx)[0]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps({
             "n": row.n,
             "p": str(row.p_n),
             "L": mp.nstr(row.l_n, 20),
             "eps_percent": display_eps(row.eps_percent),
         }))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("n,p_n,L_n,eps_percent")
         print(f"{row.n},{row.p_n},{mp.nstr(row.l_n, 20)},{display_eps(row.eps_percent)}")
     else:
@@ -205,7 +194,7 @@ def _cmd_asym(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_table(cfg: CliConfig, args) -> int:
+def _cmd_table(args) -> int:
     from mpmath import mp
 
     from .asymptotics import TABLE_NS, display_eps, relative_error_table
@@ -216,10 +205,10 @@ def _cmd_table(cfg: CliConfig, args) -> int:
         try:
             ns = [int(part) for part in args.table_list.split(",") if part]
         except ValueError:
-            raise UsageError("--list expects comma-separated integers") from None
-        if not ns or any(n < 1 for n in ns):
-            raise UsageError("--list expects positive integers")
-    with _cached(cfg.cache_path) as cache:
+            raise ValueError("--list expects comma-separated integers") from None
+        if not ns:
+            raise ValueError("--list expects at least one integer")
+    with _cached(args.cache) as cache:
         rows = relative_error_table(ns, cache)
     print("n,p_n,L_n,eps_percent")
     for row in rows:
@@ -227,24 +216,22 @@ def _cmd_table(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_farey(cfg: CliConfig, args) -> int:
+def _cmd_farey(args) -> int:
     from .farey import farey_sequence
 
-    if args.order < 1:
-        raise UsageError("N must be a positive integer")
+    fractions = farey_sequence(args.order)
     print("h,k")
-    for frac in farey_sequence(args.order):
+    for frac in fractions:
         print(f"{frac.numerator},{frac.denominator}")
     return 0
 
 
-def _cmd_ford(cfg: CliConfig, args) -> int:
+def _cmd_ford(args) -> int:
     from .farey import contour_triples, w_chord
 
-    if args.order < 1:
-        raise UsageError("N must be a positive integer")
+    triples = contour_triples(args.order)
     print("h,k,k1,k2,w1_re,w1_im,w2_re,w2_im")
-    for prev, mid, nxt in contour_triples(args.order):
+    for prev, mid, nxt in triples:
         chord = w_chord(prev, mid, nxt, args.order)
         print(
             f"{mid.numerator},{mid.denominator},{chord.k1},{chord.k2},"
@@ -254,42 +241,31 @@ def _cmd_ford(cfg: CliConfig, args) -> int:
     return 0
 
 
-def _cmd_dedekind(cfg: CliConfig, args) -> int:
+def _cmd_dedekind(args) -> int:
     from .dedekind import dedekind_sum
 
-    if args.k < 1:
-        raise UsageError("k must be a positive integer")
-    value = dedekind_sum(args.h, args.k)
-    print(_frac_str(value))
+    print(_frac_str(dedekind_sum(args.h, args.k)))
     return 0
 
 
-def _cmd_ak(cfg: CliConfig, args) -> int:
+def _cmd_ak(args) -> int:
     from mpmath import mp
 
     from .dedekind import a_k
     from .precision import PrecisionContext
 
-    if args.k < 1 or args.n < 1:
-        raise UsageError("k and n must be positive integers")
-    ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
-    print(mp.nstr(a_k(args.k, args.n, ctx), 20))
+    print(mp.nstr(a_k(args.k, args.n, PrecisionContext(args.prec)), 20))
     return 0
 
 
-def _cmd_bessel(cfg: CliConfig, args) -> int:
+def _cmd_bessel(args) -> int:
     from mpmath import mp
 
     from .bessel import bessel_i_3_2_closed, bessel_i_series
     from .precision import PrecisionContext
 
-    ctx = PrecisionContext(_parse_prec(cfg.precision_bits) or 128)
-    try:
-        x = ctx.real(args.x)
-    except ValueError:
-        raise UsageError(f"cannot parse x = {args.x!r}") from None
-    if x <= 0:
-        raise UsageError("x must be positive (both routes defined)")
+    ctx = PrecisionContext(args.prec)
+    x = ctx.real(args.x)
     series = bessel_i_series(Fraction(3, 2), x, ctx)
     closed = bessel_i_3_2_closed(x, ctx)
     with ctx.workprec():
@@ -341,40 +317,32 @@ def f_transform_cases(count: int):
     return cases
 
 
-def _cmd_verify(cfg: CliConfig, args) -> int:
+def _cmd_verify(args) -> int:
     from mpmath import mp, mpf
 
     from .eta import verify_eta, verify_f_transform
     from .precision import PrecisionContext
 
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
-    bits = _parse_prec(cfg.precision_bits) or 128
-    ctx = PrecisionContext(bits)
+    ctx = PrecisionContext(args.prec)
     with ctx.workprec():
-        tolerance = mpf(2) ** (mpf(-bits) / 2)
+        tolerance = mpf(2) ** (mpf(-args.prec) / 2)
+    if args.what == "eta":
+        checks = (
+            (f"eta {matrix} tau={mp.nstr(tau, 6)}", verify_eta(matrix, tau, ctx).residual)
+            for matrix, tau in eta_verification_cases(args.samples)
+        )
+    else:
+        checks = (
+            (f"ftransform (h,k)=({h},{k}) z={mp.nstr(z, 6)}", verify_f_transform(h, k, z, ctx))
+            for h, k, z in f_transform_cases(args.samples)
+        )
     failures = 0
     worst = mpf(0)
-    if args.what == "eta":
-        for matrix, tau in eta_verification_cases(args.samples):
-            report = verify_eta(matrix, tau, ctx)
-            ok = report.residual < tolerance
-            failures += 0 if ok else 1
-            worst = max(worst, report.residual)
-            print(
-                f"eta {matrix} tau={mp.nstr(tau, 6)}: residual = "
-                f"{mp.nstr(report.residual, 5)} [{'ok' if ok else 'FAIL'}]"
-            )
-    else:
-        for h, k, z in f_transform_cases(args.samples):
-            residual = verify_f_transform(h, k, z, ctx)
-            ok = residual < tolerance
-            failures += 0 if ok else 1
-            worst = max(worst, residual)
-            print(
-                f"ftransform (h,k)=({h},{k}) z={mp.nstr(z, 6)}: residual = "
-                f"{mp.nstr(residual, 5)} [{'ok' if ok else 'FAIL'}]"
-            )
+    for label, residual in checks:
+        ok = residual < tolerance
+        failures += 0 if ok else 1
+        worst = max(worst, residual)
+        print(f"{label}: residual = {mp.nstr(residual, 5)} [{'ok' if ok else 'FAIL'}]")
     print(
         f"{args.samples} cases, worst residual {mp.nstr(worst, 5)}, "
         f"tolerance {mp.nstr(tolerance, 5)}: "
@@ -398,18 +366,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig(
-        precision_bits=getattr(args, "prec", None),
-        cache_path=args.cache or os.environ.get(CACHE_ENV_VAR),
-        output_format=args.format,
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](cfg, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,14 +59,13 @@ class PartitionCache:
     Single writer; reads are safe once a value exists.
     """
 
-    def __init__(self, values=None, source_path=None):
+    def __init__(self, values=None):
         vals = [1] if values is None else [int(v) for v in values]
         if not vals or vals[0] != 1:
             raise ValueError("cache must start with p(0) = 1")
         if any(v < 1 for v in vals):
             raise ValueError("partition values are positive")
         self._values = vals
-        self.source_path = source_path
 
     @property
     def max_n(self) -> int:
@@ -199,4 +198,4 @@ def cache_load(path) -> PartitionCache:
         raise CacheFormatError(f"{path}: empty cache file")
     if values[0] != 1:
         raise CacheFormatError(f"{path}: line 1: p(0) must be 1")
-    return PartitionCache(values, source_path=str(path))
+    return PartitionCache(values)

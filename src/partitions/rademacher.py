@@ -107,6 +107,8 @@ class CertificationError(RuntimeError):
 
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     a = math.pi * math.sqrt(2.0 / 3.0 * (n - 1.0 / 24.0))
     return max(64, math.ceil(a / math.log(2)) + 64)
 

@@ -197,7 +197,6 @@ def test_cache_round_trip(tmp_path):
     cache_save(cache, path)
     loaded = cache_load(path)
     assert loaded == cache
-    assert loaded.source_path == str(path)
 
 
 @given(st.integers(min_value=0, max_value=120))

@@ -44,6 +44,12 @@ def test_default_precision_policy():
     assert default_precision(10_000) > default_precision(100) > 64
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_default_precision_rejects_nonpositive(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        default_precision(n)
+
+
 def test_r1_positive():
     for n in range(1, 101):
         term = r_k(n, 1, CTX)
