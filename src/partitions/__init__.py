@@ -17,7 +17,7 @@ analytic route rests on:
   function behind the series terms.
 
 Submodules load on first use (PEP 562), so ``import partitions.exact``
-or ``partitions exact N`` does not import mpmath.
+and ``partitions exact``, ``dedekind``, ``farey``, ``ford`` skip mpmath.
 """
 
 import importlib
@@ -31,8 +31,8 @@ _EXPORTS = {
     "asymptotics": "TABLE_NS AsymptoticRow display_eps leading_term "
                    "relative_error_table tail_ratio_bound zeta_three_halves",
     "bessel": "bessel_i_3_2_closed bessel_i_series",
-    "dedekind": "a_k dedekind_sum exp_i_pi_rational reciprocity_defect",
-    "eta": "EtaCheckReport conjugate_inverse eta generating_function "
+    "dedekind": "a_k dedekind_sum reciprocity_defect",
+    "eta": "EtaCheckReport conjugate_inverse eta exp_i_pi_rational generating_function "
            "verify_eta verify_f_transform",
     "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "
              "cache_save p_exact p_oracle_dp partition_table_dp pentagonal",

@@ -39,19 +39,19 @@ def _as_mpf(nu) -> mpf:
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Power-series I_nu(x) for x >= 0, nu > -1.
+    """Power-series I_nu(x) for finite x >= 0, nu > -1.
 
     Parameters
     ----------
     nu : order; number or Fraction.  nu = 3/2 uses the exact half-integer
         Gamma seed, every other order seeds with Gamma(nu+1).
-    x : nonnegative argument (number or decimal string).
+    x : finite nonnegative argument (number or decimal string).
     ctx : target precision.
     """
     with ctx.workprec():
         x = mpf(x)
-        if x < 0:
-            raise ValueError("x must be nonnegative")
+        if not 0 <= x < mp.inf:
+            raise ValueError("x must be finite and nonnegative")
         nu_f = _as_mpf(nu)
         if not nu_f > -1:
             raise ValueError("nu must be greater than -1")
@@ -75,9 +75,9 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def bessel_i_3_2_closed(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, x > 0."""
+    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x > 0."""
     with ctx.workprec():
         x = mpf(x)
-        if x <= 0:
-            raise ValueError("closed form requires x > 0")
+        if not 0 < x < mp.inf:
+            raise ValueError("closed form requires finite x > 0")
         return mp.sqrt(2 * x / mp.pi) * (x * mp.cosh(x) - mp.sinh(x)) / (x * x)

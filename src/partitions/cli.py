@@ -85,13 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="certified series evaluation of p(n), JSON report")
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=precision_bits, default=None,
-                   help="working bits (raises the default only)")
-    p.add_argument("--terms", type=positive_int, default=None, help="minimum term count")
 
     p = sub.add_parser("asym", help="leading term L(n) and relative error")
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=precision_bits, default=128)
 
     p = sub.add_parser("table", help="error table as CSV")
     group = p.add_mutually_exclusive_group(required=True)
@@ -143,11 +139,10 @@ def _cmd_exact(args) -> int:
 def _cmd_series(args) -> int:
     from mpmath import mp
 
-    from .rademacher import CertificationError, default_precision, p_series
+    from .rademacher import CertificationError, p_series
 
-    bits = max(default_precision(args.n), args.prec or 0)  # --prec only raises it
     try:
-        report = p_series(args.n, initial_terms=args.terms, prec=bits)
+        report = p_series(args.n)
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -173,11 +168,9 @@ def _cmd_asym(args) -> int:
     from mpmath import mp
 
     from .asymptotics import display_eps, relative_error_table
-    from .precision import PrecisionContext
 
-    ctx = PrecisionContext(args.prec)
     with _cached(args.cache) as cache:
-        row = relative_error_table([args.n], cache, ctx)[0]
+        row = relative_error_table([args.n], cache)[0]
     if args.format == "json":
         print(json.dumps({
             "n": row.n,

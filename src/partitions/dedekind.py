@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
-
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 
 
@@ -65,13 +63,6 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     return dedekind_sum(h, k) + dedekind_sum(k, h) - closed
 
 
-def exp_i_pi_rational(t: Fraction) -> mpc:
-    """exp(i*pi*t) for exact rational t, reduced mod 2 before evaluation."""
-    t %= 2
-    x = mpf(t.numerator) / t.denominator
-    return mpc(mp.cospi(x), mp.sinpi(x))
-
-
 def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """A_k(n) by Selberg's formula; real, |A_k(n)| <= k.
 
@@ -81,6 +72,8 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise ValueError("k must be a positive integer")
     if n < 1:
         raise ValueError("n must be a positive integer")
+    from mpmath import mp, mpf  # here, so exact Dedekind sums never load mpmath
+
     with ctx.workprec():
         if k <= 2:
             return mpf(-1 if k == 2 and n % 2 else 1)

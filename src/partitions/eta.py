@@ -32,8 +32,15 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, mpmathify
 
-from .dedekind import dedekind_sum, exp_i_pi_rational
+from .dedekind import dedekind_sum
 from .precision import DEFAULT_CONTEXT, PrecisionContext
+
+
+def exp_i_pi_rational(t: Fraction) -> mpc:
+    """exp(i*pi*t) for exact rational t, reduced mod 2 before evaluation."""
+    t %= 2
+    x = mpf(t.numerator) / t.denominator
+    return mpc(mp.cospi(x), mp.sinpi(x))
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 
 class QPoint(NamedTuple):
     """Point of the complex plane with exact rational coordinates."""
@@ -213,6 +211,8 @@ def arc_length_bound_check(w: QPoint) -> bool:
         raise ValueError("w does not lie on the circle |z - 1/2| = 1/2")
     if w.re == 0 and w.im == 0:
         raise ValueError("w must differ from the origin")
+    from mpmath import mp, mpf  # here, so the exact geometry never loads mpmath
+
     with mp.workprec(64):
         x = mpf(w.re.numerator) / w.re.denominator - mpf(1) / 2
         y = mpf(w.im.numerator) / w.im.denominator

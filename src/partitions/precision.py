@@ -5,13 +5,14 @@ working precision in bits; functions returning floating values compute
 inside ``with ctx.workprec():``.  mpmath values are immutable and keep the
 precision they were computed at, so results can be mixed freely afterwards
 (comparisons and follow-up arithmetic should run inside a context of their
-own if they need more than the ambient precision).
+own if they need more than the ambient precision).  mpmath is imported
+inside the methods, so modules that only need the type stay mpmath-free.
 """
+
+from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp, mpc, mpf
 
 # extra working bits inside evaluation loops, so accumulated rounding stays
 # below the advertised precision
@@ -31,24 +32,24 @@ class PrecisionContext:
         if self.bits < 64:
             raise ValueError(f"precision must be at least 64 bits, got {self.bits}")
 
-    def workprec(self, extra: int = GUARD_BITS):
-        """mpmath context manager running at ``bits + extra`` precision."""
-        return mp.workprec(self.bits + extra)
+    def workprec(self):
+        """mpmath context manager running at ``bits + GUARD_BITS`` precision."""
+        from mpmath import mp
+        return mp.workprec(self.bits + GUARD_BITS)
 
     @property
     def tail_threshold(self) -> mpf:
         """Truncation threshold for convergent series and products."""
+        from mpmath import mpf
         return mpf(2) ** (-self.bits - TAIL_GUARD_BITS)
 
     def real(self, x) -> mpf:
         """Convert ``x`` (number, decimal string, or Fraction) to mpf."""
+        from mpmath import mpf
         with self.workprec():
             if isinstance(x, Fraction):
                 return mpf(x.numerator) / x.denominator
             return mpf(x)
-
-    def complex(self, re, im=0) -> mpc:
-        return mpc(self.real(re), self.real(im))
 
 
 DEFAULT_CONTEXT = PrecisionContext(128)

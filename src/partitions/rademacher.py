@@ -178,20 +178,14 @@ def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
     return math.inf if log_e > 700 else math.exp(log_e) * _ROUND_UP
 
 
-def p_series(n: int, initial_terms: int | None = None, prec: int | None = None) -> SeriesReport:
+def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
-    The term count is ``terms_needed(n)``, raised to ``initial_terms`` if
-    that is larger; ``prec`` defaults to ``default_precision(n)``.
+    Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
+    ``default_precision(n)`` bits (which rejects n < 1).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if initial_terms is not None and initial_terms < 1:
-        raise ValueError("initial_terms must be positive")
-    bits = prec if prec is not None else default_precision(n)
-    if bits < 64:
-        raise ValueError("precision must be at least 64 bits")
-    n_terms = max(terms_needed(n), initial_terms or 1)
+    bits = default_precision(n)
+    n_terms = terms_needed(n)
     ctx = PrecisionContext(bits)
     terms = tuple(r_k(n, k, ctx) for k in range(1, n_terms + 1))
     with ctx.workprec():
@@ -206,7 +200,7 @@ def p_series(n: int, initial_terms: int | None = None, prec: int | None = None) 
         raise CertificationError(
             f"series for n={n} with N={n_terms} terms at {bits} bits is not certified: "
             f"T={t:.4g}, E={e:.4g}, gap={mp.nstr(gap, 8)} "
-            "(needs T+E < 1/4 and T+E+gap < 1/2); raise the precision"
+            "(needs T+E < 1/4 and T+E+gap < 1/2)"
         )
     return SeriesReport(
         n=n,

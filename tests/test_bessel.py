@@ -87,3 +87,9 @@ def test_input_validation():
         bessel_i_3_2_closed(0, CTX)
     with pytest.raises(ValueError):
         bessel_i_3_2_closed(-2, CTX)
+    # the series' stop test never passes for nan or +inf, so both routes refuse them
+    for x in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError):
+            bessel_i_series(Fraction(3, 2), x, CTX)
+        with pytest.raises(ValueError):
+            bessel_i_3_2_closed(x, CTX)

@@ -61,10 +61,14 @@ def test_submodules_are_attributes_after_bare_import():
 
 
 def test_exact_cli_does_not_import_mpmath():
+    # exact, dedekind, farey and ford answer in integers and rationals
     script = (
         "import sys\n"
         "import partitions.cli\n"
-        "assert partitions.cli.main(['exact', '30']) == 0\n"
-        "assert 'mpmath' not in sys.modules, sorted(m for m in sys.modules if 'mpmath' in m)\n"
+        "for argv in (['exact', '30'], ['dedekind', '1', '3'], ['farey', '5'], ['ford', '5']):\n"
+        "    assert partitions.cli.main(argv) == 0\n"
+        "    assert 'mpmath' not in sys.modules, (argv, sorted(m for m in sys.modules if 'mpmath' in m))\n"
     )
-    assert _run(script) == "5604\n"
+    out = _run(script)
+    assert out.startswith("5604\n1/18\nh,k\n0,1\n1,5\n")
+    assert "\nh,k,k1,k2,w1_re,w1_im,w2_re,w2_im\n" in out

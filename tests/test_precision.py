@@ -34,12 +34,6 @@ def test_real_accepts_fractions():
         assert abs(ctx.real(Fraction(1, 3)) - mpf(1) / 3) < mpf(2) ** -120
 
 
-def test_complex_helper():
-    ctx = PrecisionContext(128)
-    z = ctx.complex("0.5", -2)
-    assert z.real == mpf("0.5") and z.imag == -2
-
-
 def test_tail_threshold():
     ctx = PrecisionContext(100)
     assert ctx.tail_threshold == mpf(2) ** -108

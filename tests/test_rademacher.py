@@ -112,44 +112,38 @@ def test_p_series_last_term_is_small():
     assert abs(report.terms[-1].r_k) < mpf("1e-3")
 
 
-def test_p_series_precision_robustness():
+def _at_bits(monkeypatch, bits):
+    """Make p_series work at ``bits`` instead of default_precision(n)."""
+    monkeypatch.setattr("partitions.rademacher.default_precision", lambda n: bits)
+
+
+def test_p_series_precision_robustness(monkeypatch):
     base = default_precision(50)
-    r2 = p_series(50, prec=2 * base)
-    r4 = p_series(50, prec=4 * base)
-    assert r2.rounded == r4.rounded == p_exact(50)
-
-
-def test_p_series_explicit_terms():
-    report = p_series(7, initial_terms=3)
-    assert report.rounded == 15
-    assert report.n_terms_used == terms_needed(7)
-    # initial_terms is a floor on N, not a starting guess
-    report = p_series(7, initial_terms=100)
-    assert report.rounded == 15
-    assert report.n_terms_used == len(report.terms) == 100
-    assert report.truncation_bound == truncation_bound(7, 100)
+    for bits in (2 * base, 4 * base):
+        _at_bits(monkeypatch, bits)
+        report = p_series(50)
+        assert report.prec == bits
+        assert report.rounded == p_exact(50)
 
 
 def test_p_series_validation():
     with pytest.raises(ValueError):
         p_series(0)
-    with pytest.raises(ValueError):
-        p_series(5, initial_terms=0)
-    with pytest.raises(ValueError):
-        p_series(5, prec=32)
 
 
-def test_low_precision_raises_instead_of_guessing():
+def test_low_precision_raises_instead_of_guessing(monkeypatch):
     # 64 bits cannot hold p(1000) ~ 2^104: E exceeds the budget, no integer comes back
+    _at_bits(monkeypatch, 64)
     with pytest.raises(CertificationError) as info:
-        p_series(1000, prec=64)
+        p_series(1000)
     message = str(info.value)
     assert "T=" in message and "E=" in message and "gap=" in message
     # below the default, every precision either certifies the right integer or raises
     for n in (100, 1000):
         for bits in range(64, default_precision(n) + 1, 8):
+            _at_bits(monkeypatch, bits)
             try:
-                assert p_series(n, prec=bits).rounded == p_exact(n)
+                assert p_series(n).rounded == p_exact(n)
             except CertificationError:
                 pass
 
