@@ -42,11 +42,7 @@ def leading_term(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
 
-def relative_error_table(
-    ns,
-    cache: PartitionCache | None = None,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> list[AsymptoticRow]:
+def relative_error_table(ns, cache: PartitionCache | None = None) -> list[AsymptoticRow]:
     """Rows (n, p(n), L(n), eps(n)); exact values computed on demand.
 
     eps is kept at full precision; use :func:`display_eps` for the
@@ -57,8 +53,8 @@ def relative_error_table(
     rows = []
     for n in ns:
         p = p_exact(n, cache)
-        with ctx.workprec():
-            l_value = leading_term(n, ctx)
+        with DEFAULT_CONTEXT.workprec():
+            l_value = leading_term(n)
             eps = (mpf(p) - l_value) / mpf(p) * 100
         rows.append(AsymptoticRow(n=n, p_n=p, l_n=l_value, eps_percent=eps))
     return rows

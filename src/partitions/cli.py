@@ -51,10 +51,11 @@ def positive_int(text: str) -> int:
 
 
 @contextmanager
-def _cached(path):
-    """The cache at ``path`` (empty if none), saved afterwards if it grew."""
+def _cached(path, upto):
+    """The cache at ``path`` read through p(upto) (empty if none), saved
+    afterwards if it grew; it grows only when the whole file was read."""
     loaded = bool(path) and os.path.exists(path)
-    cache = cache_load(path) if loaded else PartitionCache()
+    cache = cache_load(path, upto) if loaded else PartitionCache()
     loaded_max_n = cache.max_n if loaded else -1
     yield cache
     if path and cache.max_n > loaded_max_n:
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    with _cached(args.cache) as cache:
+    with _cached(args.cache, args.n) as cache:
         value = p_exact(args.n, cache)
     if args.format == "json":
         print(json.dumps({"n": args.n, "p": str(value)}))
@@ -169,7 +170,7 @@ def _cmd_asym(args) -> int:
 
     from .asymptotics import display_eps, relative_error_table
 
-    with _cached(args.cache) as cache:
+    with _cached(args.cache, args.n) as cache:
         row = relative_error_table([args.n], cache)[0]
     if args.format == "json":
         print(json.dumps({
@@ -201,7 +202,7 @@ def _cmd_table(args) -> int:
             raise ValueError("--list expects comma-separated integers") from None
         if not ns:
             raise ValueError("--list expects at least one integer")
-    with _cached(args.cache) as cache:
+    with _cached(args.cache, max(ns)) as cache:
         rows = relative_error_table(ns, cache)
     print("n,p_n,L_n,eps_percent")
     for row in rows:

@@ -165,11 +165,17 @@ def cache_save(cache: PartitionCache, path) -> None:
         raise
 
 
-def cache_load(path) -> PartitionCache:
-    """Read a cache file, validating order, contiguity and integer syntax."""
+def cache_load(path, upto: int | None = None) -> PartitionCache:
+    """Read a cache file, validating order, contiguity and integer syntax.
+
+    With ``upto``, only the lines for p(0..upto) are read (at least line 0),
+    so damage further on goes unseen; a result with ``max_n < upto`` means
+    the whole file was read.
+    """
     values = []
+    stop = None if upto is None else max(upto, 0) + 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(itertools.islice(fh, stop), start=1):
             if not raw.endswith("\n"):
                 raise CacheFormatError(f"{path}: line {lineno}: truncated (no line end)")
             line = raw.strip()

@@ -36,20 +36,20 @@ def test_leading_term_validation():
 
 
 def test_relative_errors_match_reference():
-    rows = relative_error_table([10, 100, 1000], ctx=CTX)
+    rows = relative_error_table([10, 100, 1000])
     for row, expected in zip(rows, ("-14.53", "-4.57", "-1.42")):
         assert abs(row.eps_percent - mpf(expected)) <= mpf("0.01")
 
 
 def test_relative_error_display():
-    rows = relative_error_table([10, 50], ctx=CTX)
+    rows = relative_error_table([10, 50])
     assert display_eps(rows[0].eps_percent) == "-14.53"
     assert display_eps(rows[1].eps_percent) == "-6.54"
 
 
 def test_relative_error_uses_cache():
     cache = PartitionCache()
-    relative_error_table([30], cache, CTX)
+    relative_error_table([30], cache)
     assert cache.max_n >= 30
 
 

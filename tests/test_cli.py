@@ -287,10 +287,26 @@ def test_truncated_cache_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cache.csv"
     run(["--cache", str(path), "exact", "30"], capsys)
     path.write_bytes(path.read_bytes()[:-3])
-    code, out, err = run(["--cache", str(path), "exact", "5"], capsys)
+    damaged = path.read_bytes()
+    # p(5) lies in the intact prefix, and a hit reads no further
+    code, out, _ = run(["--cache", str(path), "exact", "5"], capsys)
+    assert code == 0
+    assert out == "7\n"
+    for n in ("30", "40"):
+        code, out, err = run(["--cache", str(path), "exact", n], capsys)
+        assert code == 2
+        assert out == ""
+        assert "truncated" in err
+    assert path.read_bytes() == damaged
+
+
+def test_negative_n_with_cache_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cache.csv"
+    run(["--cache", str(path), "exact", "10"], capsys)
+    code, out, err = run(["--cache", str(path), "exact", "-1"], capsys)
     assert code == 2
     assert out == ""
-    assert "truncated" in err
+    assert "n must be nonnegative" in err
 
 
 # Every subcommand, each --format where one is honoured, and the invalid

@@ -290,6 +290,45 @@ def test_cache_load_truncated(tmp_path):
         cache_load(path)
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda data: data.replace(b"\n31,6842\n", b"\n31,68x2\n"), "line 32: malformed integer"),
+        (lambda data: data.replace(b"\n31,6842\n", b"\n"), "line 32: gap"),
+        (lambda data: data[:-2], "line 41: truncated"),
+    ],
+    ids=["malformed", "gap", "truncated"],
+)
+def test_cache_load_upto_ignores_damage_past_it(tmp_path, damage, message):
+    path = tmp_path / "p.csv"
+    cache_save(PartitionCache(P_ORACLE[:41]), path)
+    path.write_bytes(damage(path.read_bytes()))
+    for upto in (None, 40):
+        with pytest.raises(CacheFormatError, match=message):
+            cache_load(path, upto=upto)
+    for upto in (0, 5, 30):
+        assert cache_load(path, upto=upto) == PartitionCache(P_ORACLE[: upto + 1])
+
+
+def test_cache_load_upto_past_end_and_none(tmp_path):
+    path = tmp_path / "p.csv"
+    cache = PartitionCache(P_ORACLE[:21])
+    cache_save(cache, path)
+    assert cache_load(path, upto=20) == cache
+    assert cache_load(path, upto=21) == cache
+    assert cache_load(path, upto=10**6) == cache
+    assert cache_load(path, upto=None) == cache_load(path) == cache
+
+
+def test_cache_load_negative_upto_reads_line_0(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0,1\nx\n")
+    assert cache_load(path, upto=-1) == PartitionCache()
+    path.write_text("")
+    with pytest.raises(CacheFormatError, match="empty"):
+        cache_load(path, upto=-1)
+
+
 def _save_in_loop(max_n, path, rounds):
     cache = PartitionCache()
     cache.extend_to(max_n)
