@@ -21,7 +21,7 @@ It is computed by Selberg's formula (proved by Whiteman, Pacific J. Math.
     A_k(n) = sqrt(k/3) * sum (-1)^l cos(pi (6l+1)/(6k)),
 
 the sum over 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
-takes integer arithmetic only, and on average about two of them satisfy the
+(:func:`selberg_roots`) takes integer arithmetic only, and on average about two of them satisfy the
 congruence, so a term costs a couple of cosines instead of phi(k)/2.
 """
 
@@ -78,10 +78,21 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if k <= 2:
             return mpf(-1 if k == 2 and n % 2 else 1)
         total = mpf(0)
-        residue = n % k  # l(3l+1)/2 + n mod k, for l = 0, 1, ...
-        for l in range(2 * k):
-            if residue == 0:
-                c = mp.cospi(mpf(6 * l + 1) / (6 * k))
-                total += -c if l % 2 else c
-            residue = (residue + 3 * l + 2) % k
+        for l in selberg_roots(k, n):
+            c = mp.cospi(mpf(6 * l + 1) / (6 * k))
+            total += -c if l % 2 else c
         return mp.sqrt(mpf(k) / 3) * total
+
+
+def selberg_roots(k: int, n: int) -> list[int]:
+    """The l in [0, 2k) with l(3l+1)/2 = -n (mod k), ascending: the
+    summation indices of Selberg's formula for A_k(n)."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    roots = []
+    residue = n % k  # l(3l+1)/2 + n mod k, for l = 0, 1, ...
+    for l in range(2 * k):
+        if residue == 0:
+            roots.append(l)
+        residue = (residue + 3 * l + 2) % k
+    return roots

@@ -204,4 +204,6 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
         raise CacheFormatError(f"{path}: empty cache file")
     if values[0] != 1:
         raise CacheFormatError(f"{path}: line 1: p(0) must be 1")
-    return PartitionCache(values)
+    cache = PartitionCache()
+    cache._values = values  # checked line by line above; the constructor would check again
+    return cache

@@ -25,11 +25,12 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).
 
-Floating-error bound E.  Terms and sum are computed at p = bits +
-GUARD_BITS.  Model: each mpmath operation used (arithmetic, integer power,
-sqrt, pi, cosh, sinh, cospi) is exact for its computed operands up to a
-relative eps = 2^(1-p), twice the correct-rounding bound; integers below
-2^p convert exactly.  To first order in eps:
+Floating-error bound E.  The terms k = 1, 2, every term routed away from
+floats (below), and the sum are computed at p = bits + GUARD_BITS.  Model:
+each mpmath operation used (arithmetic, integer power, sqrt, pi, exp,
+cospi) is exact for its computed operands up to a relative eps = 2^(1-p),
+twice the correct-rounding bound; integers below 2^p convert exactly.  To
+first order in eps:
 
 * A_k, by Selberg's formula (see :mod:`partitions.dedekind`).  A_1 and A_2
   are exact.  For k >= 3 the sum has S <= 2k summands, one per l at most.
@@ -40,25 +41,67 @@ relative eps = 2^(1-p), twice the correct-rounding bound; integers below
   |computed A_k - A_k| <= eps k (5/2 + sqrt(k/3)(2k + 4 pi + 3))
   <= eps k sqrt(k/3)(2k + 19).
 * a is off by 4.1 eps relatively and P by 21 eps; u = a/k is off by
-  5.1 eps, so u cosh u - sinh u is off by eps (3 + 5.1u)(u cosh u + sinh u);
-  sqrt(k) and the three products add 4 eps.
+  5.1 eps, so e^u is off by (1 + 5.1u) eps relatively.  The factor
+  u cosh u - sinh u is computed as ((u - 1) e^u + (u + 1)/e^u)/2, so
+  each of the two products is off by eps (5.1u^2 + 13.2u + 3) e^u and the
+  factor by eps (9.1 + 5.1u)(1 + u) e^u; sqrt(k) and the three products
+  add 4 eps.
 
-So |computed R_k - R_k| <= eps H_k (28 + 5.1 u_k + sqrt(k/3)(2k + 19)),
+So |computed R_k - R_k| <= eps H_k (35 + 5.1 u_k + sqrt(k/3)(2k + 19)),
 where H_k = P k^(3/2) (1 + u_k) e^(u_k) bounds the magnitudes that cancel,
 P sqrt(k) |A_k| (u_k cosh u_k + sinh u_k); and, each partial sum being at
 most sum H_k, the N - 1 additions of the sum add eps (N - 1) sum H_k.  As
 k <= N and u_k <= a, with H_N* the value of H_k at k = N, u_k = a,
 
-    E = 2 eps N H_N* (N + 27 + 5.1a + sqrt(N/3)(2N + 19))
+    E_full = 2 eps N H_N* (N + 34 + 5.1a + sqrt(N/3)(2N + 19))
 
-bounds the total; the factor 2 absorbs the second-order terms.  E is
-evaluated in log space and rounded up.
+bounds the total for N full-width terms; the factor 2 absorbs the
+second-order terms.  E_full is evaluated in log space and rounded up.
+
+Float terms.  Term k >= 3 is far smaller than the sum (about e^(a/k)), so
+most terms are computed in hardware floats (:mod:`math`) instead.  Model:
+each float operation used (arithmetic, sqrt, exp, cos, and rounding an mpf
+to float) is exact for its computed operands up to a relative eps = 2^-50.
+That is a 4-ulp margin over the 1-ulp error glibc's libm documents for exp
+and cos; arithmetic and sqrt are correctly rounded, within 2^-53.  Integers
+below 2^53 convert exactly, which covers 6l + 1 < 12k <= 12N.  a and P are
+rounded from their full-width values, each off by eps relatively, so n
+itself never enters float arithmetic.  With S the number of l in
+Selberg's sum:
+
+* A_k = sqrt(k/3) sum (-1)^l cos(pi (6l+1)/(6k)).  The cosine argument
+  (< 2 pi) is rounded three times (pi, the product, the quotient), so each
+  summand is off by (6 pi + 1) eps; math.fsum rounds the sum once, by at
+  most S eps; sqrt(k/3) and the product add 5/2 eps relatively.  With
+  |A_k| <= S sqrt(k/3), |computed A_k - A_k| <= eps S sqrt(k/3)(6 pi + 4.5).
+* u = a/k is off by 2 eps, so e^u by (1 + 2u) eps relatively and u -+ 1 by
+  (3u + 1) eps absolutely; each of (u - 1) e^u and (u + 1)/e^u is off by
+  eps (2u^2 + 7u + 3) e^u, and the factor by eps (2u + 6)(1 + u) e^u.
+* P, sqrt(k) and the three products add 5 eps relatively.
+
+So, with u = a/k,
+
+    E_k = 2 eps P k S (1 + u) e^u (2u + 35) / sqrt(3)
+
+bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms
+and the rounding of E_k itself.  A float term converts to mpf exactly and
+is added to the sum at full width, which E_full covers: the float terms'
+errors, below 1/8 in all, move the partial sums by far less than the
+factor 2 allows.
+
+Routing.  Term k >= 3 is computed in floats when E_k <= B = (1/4 - T -
+E_full)/(2N); otherwise, and whenever u > 700 (e^u would overflow), by
+:func:`r_k` at full width.  E = E_full + the sum of the float terms' E_k,
+added by math.fsum (one rounding, far inside the margins above), so
+E <= E_full + (1/4 - T - E_full)/2 and T + E < 1/4 whenever T + E_full <
+1/4.  B is a share of the slack 1/4 - T, not a fixed size, because the
+slack can be small: 3.3e-7 at n = 13312 and 3.8e-9 at n = 184570.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
 gap = |S - nint(S)|, which also gives gap < 1/4; otherwise it raises
 :class:`CertificationError`.  There is no retry: at ``default_precision``
-E < 2^-47 for every n up to 10^12, so a failure means too few bits.
+E_full < 2^-47 for every n up to 10^12, so a failure means too few bits.
 """
 
 from __future__ import annotations
@@ -69,13 +112,15 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .dedekind import a_k
+from .dedekind import a_k, selberg_roots
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
 _LEHMER_C1 = 44 * math.pi**2 / (225 * math.sqrt(3))
 _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 # relative margin rounding the float-evaluated bounds upward
 _ROUND_UP = 1 + 2.0**-32
+# E_k = _FLOAT_TERM_C P k S (1 + u) e^u (2u + 35), for the float model's eps = 2^-50
+_FLOAT_TERM_C = 2 * 2.0**-50 / math.sqrt(3)
 
 
 @dataclass(frozen=True)
@@ -125,8 +170,8 @@ def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def _per_n(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
     """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3) at ``ctx``.
 
-    One entry suffices: :func:`p_series` asks :func:`r_k` for every term
-    with the same (n, ctx), so these are computed once per series.
+    One entry suffices: :func:`p_series` and the :func:`r_k` calls it makes
+    share one (n, ctx), so these are computed once per series.
     """
     a = alpha(n, ctx)
     with ctx.workprec():
@@ -141,7 +186,8 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
         weight = a_k(k, n, ctx)
         a, prefactor = _per_n(n, ctx)
         u = a / k
-        value = prefactor * mp.sqrt(k) * weight * (u * mp.cosh(u) - mp.sinh(u))
+        x = mp.exp(u)
+        value = prefactor * mp.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2
         return SeriesTerm(k, weight, value)
 
 
@@ -169,33 +215,67 @@ def terms_needed(n: int) -> int:
 
 
 def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
-    """E >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
+    """E_full >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
     a = math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
-    coeff = n_terms + 27 + 5.1 * a + math.sqrt(n_terms / 3) * (2 * n_terms + 19)
+    coeff = n_terms + 34 + 5.1 * a + math.sqrt(n_terms / 3) * (2 * n_terms + 19)
     log_e = (1 - bits - GUARD_BITS) * math.log(2) + math.log1p(a) + a + math.log(
         2 * math.pi**2 * n_terms**2.5 * coeff / (3 * math.sqrt(3) * a**3)
     )
     return math.inf if log_e > 700 else math.exp(log_e) * _ROUND_UP
 
 
+def _float_budget(t: float, e_full: float, n_terms: int) -> float:
+    """B, the bound E_k a float term must meet: (1/4 - T - E_full)/(2N)."""
+    return (0.25 - t - e_full) / (2 * n_terms)
+
+
+def _float_term(n: int, k: int, a: float, p: float, budget: float):
+    """(A_k, R_k, E_k) for k >= 3 in floats, from ``a`` = alpha(n) and ``p`` = P
+    rounded to floats; None when E_k > ``budget`` or e^(a/k) would overflow."""
+    u = a / k
+    if u > 700:
+        return None
+    roots = selberg_roots(k, n)
+    x = math.exp(u)
+    bound = _FLOAT_TERM_C * p * k * len(roots) * (1 + u) * x * (2 * u + 35)
+    if bound > budget:
+        return None
+    weight = math.sqrt(k / 3) * math.fsum(
+        math.cos(math.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
+    )
+    return weight, p * math.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2, bound
+
+
 def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
     Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
-    ``default_precision(n)`` bits (which rejects n < 1).
+    ``default_precision(n)`` bits (which rejects n < 1); each term k >= 3
+    whose float bound E_k fits the budget is computed in floats.
     """
     bits = default_precision(n)
     n_terms = terms_needed(n)
     ctx = PrecisionContext(bits)
-    terms = tuple(r_k(n, k, ctx) for k in range(1, n_terms + 1))
+    t = truncation_bound(n, n_terms)
+    e_full = _float_error_bound(n, n_terms, bits)
+    budget = _float_budget(t, e_full, n_terms)
+    a, prefactor = (float(v) for v in _per_n(n, ctx))
+    terms, bounds = [], [e_full]
+    for k in range(1, n_terms + 1):
+        fast = _float_term(n, k, a, prefactor, budget) if k >= 3 else None
+        if fast is None:
+            terms.append(r_k(n, k, ctx))
+        else:
+            weight, value, bound = fast
+            terms.append(SeriesTerm(k, mpf(weight), mpf(value)))
+            bounds.append(bound)
+    e = math.fsum(bounds)
     with ctx.workprec():
         total = mpf(0)
         for term in terms:  # fixed ascending order for reproducibility
             total += term.r_k
         rounded = int(mp.nint(total))
         gap = abs(total - rounded)
-    t = truncation_bound(n, n_terms)
-    e = _float_error_bound(n, n_terms, bits)
     if not (t + e < 0.25 and t + e + gap < 0.5):
         raise CertificationError(
             f"series for n={n} with N={n_terms} terms at {bits} bits is not certified: "
@@ -205,7 +285,7 @@ def p_series(n: int) -> SeriesReport:
     return SeriesReport(
         n=n,
         prec=bits,
-        terms=terms,
+        terms=tuple(terms),
         partial_sum=total,
         rounded=rounded,
         gap=gap,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
-from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect
+from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.precision import PrecisionContext
 
 CTX = PrecisionContext(128)
@@ -114,6 +114,15 @@ def test_a_k_input_validation():
         a_k(0, 5, CTX)
     with pytest.raises(ValueError):
         a_k(3, 0, CTX)
+
+
+def test_selberg_roots_solve_the_congruence():
+    for k in range(1, 41):
+        for n in range(1, 31):
+            expected = [l for l in range(2 * k) if (l * (3 * l + 1) // 2 + n) % k == 0]
+            assert selberg_roots(k, n) == expected, (k, n)
+    with pytest.raises(ValueError):
+        selberg_roots(0, 5)
 
 
 def test_a_k_bound():

@@ -16,7 +16,7 @@ from partitions.rademacher import (
     terms_needed,
     truncation_bound,
 )
-from partitions.rademacher import _float_error_bound
+from partitions.rademacher import _float_error_bound, _float_term, _per_n
 
 CTX = PrecisionContext(128)
 
@@ -212,7 +212,47 @@ def test_float_error_bound_covers_double_precision_rerun():
         # the rerun carries its own, far smaller, error bound
         budget = report.float_error_bound + _float_error_bound(n, n_terms, 2 * report.prec)
         assert diff <= budget
-        assert 0 < report.float_error_bound < 2.0**-40
+        # E = E_full + the float terms' bounds, which take at most half the slack
+        t, e = report.truncation_bound, report.float_error_bound
+        e_full = _float_error_bound(n, n_terms, report.prec)
+        assert 0 < e_full <= e <= e_full + (0.25 - t - e_full) / 2
+
+
+def test_float_terms_within_their_bounds():
+    for n in (7, 1000, 13312):
+        report = p_series(n)
+        ctx = PrecisionContext(report.prec)
+        ctx2 = PrecisionContext(2 * report.prec)
+        a, p = (float(v) for v in _per_n(n, ctx))
+        t, n_terms = report.truncation_bound, report.n_terms_used
+        e_full = _float_error_bound(n, n_terms, report.prec)
+        routed = 0
+        for term in report.terms[2:]:
+            k = term.k
+            # any budget: the bound holds for every k, not only the routed ones
+            weight, value, bound = _float_term(n, k, a, p, math.inf)
+            if term.r_k == value:  # p_series took this term from floats
+                routed += 1
+                assert bound <= (0.25 - t - e_full) / (2 * n_terms), (n, k)
+            reference = r_k(n, k, ctx2)
+            with ctx2.workprec():
+                assert abs(mpf(value) - reference.r_k) <= bound, (n, k)
+                assert abs(mpf(weight) - reference.a_k) <= 2.0**-40 * k, (n, k)
+        assert routed > len(report.terms) // 2, n
+
+
+def test_float_term_declines_where_exp_overflows():
+    # alpha(10^6)/3 > 709.8: e^u is no float, so k = 3 stays at full width
+    a, p = (float(v) for v in _per_n(10**6, PrecisionContext(default_precision(10**6))))
+    assert _float_term(10**6, 3, a, p, math.inf) is None
+    assert _float_term(10**6, 4, a, p, math.inf) is not None
+
+
+def test_every_term_in_floats_is_not_certified(monkeypatch):
+    # routing the wide head terms to floats too must fail loudly, not round a wrong sum
+    monkeypatch.setattr("partitions.rademacher._float_budget", lambda *args: math.inf)
+    with pytest.raises(CertificationError):
+        p_series(10**5)
 
 
 def test_report_error_budget():
@@ -232,6 +272,28 @@ def exact_table():
 
 def test_p_series_matches_exact_through_500(exact_table):
     assert all(p_series(n).rounded == exact_table[n] for n in range(1, 501))
+
+
+def test_p_series_matches_exact_from_501_to_2000(exact_table):
+    assert all(p_series(n).rounded == exact_table[n] for n in range(501, 2001))
+
+
+@pytest.mark.parametrize("n", [13312, 7798, 6742])
+def test_p_series_smallest_slack_in_table(n, exact_table):
+    # the n <= 5e4 with the least slack 1/4 - T, so the smallest float budget
+    assert p_series(n).rounded == exact_table[n]
+
+
+def test_p_series_smallest_slack_below_200000():
+    # 1/4 - T is 3.8e-9 here, the least for n <= 2e5; compare an all-r_k sum
+    n = 184570
+    report = p_series(n)
+    ctx = PrecisionContext(report.prec)
+    with ctx.workprec():
+        total = mpf(0)
+        for k in range(1, report.n_terms_used + 1):
+            total += r_k(n, k, ctx).r_k
+        assert report.rounded == int(mp.nint(total))
 
 
 def test_p_series_matches_exact_seeded_sample(exact_table):
