@@ -25,17 +25,9 @@ The two routes share no code and serve as mutual oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from mpmath import mp, mpf
 
 from .precision import DEFAULT_CONTEXT, PrecisionContext
-
-
-def _as_mpf(nu) -> mpf:
-    if isinstance(nu, Fraction):
-        return mpf(nu.numerator) / nu.denominator
-    return mpf(nu)
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -52,7 +44,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         x = mpf(x)
         if not 0 <= x < mp.inf:
             raise ValueError("x must be finite and nonnegative")
-        nu_f = _as_mpf(nu)
+        nu_f = ctx.real(nu)
         if not nu_f > -1:
             raise ValueError("nu must be greater than -1")
         if x == 0:

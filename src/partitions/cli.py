@@ -5,9 +5,10 @@ series evaluation, asymptotics, the error table, Farey/Ford data, Dedekind
 sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
 
 Exit codes: 0 on success, 1 when a verification or series certification
-fails (and for I/O trouble), 2 for usage errors: argparse checks the flags,
-and the library function that receives any other value checks it and
-raises ValueError.  All error text goes to stderr.  Output is deterministic
+fails (and for I/O trouble), 2 for usage errors: argparse checks the
+arguments' syntax and the --samples count, and the library function that
+receives any other value (a --prec included) checks it and raises
+ValueError.  All error text goes to stderr.  Output is deterministic
 for fixed arguments: summation orders, sample schedules, and precision
 policies contain no randomness.
 """
@@ -32,14 +33,6 @@ CACHE_ENV_VAR = "PARTITIONS_CACHE"
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def precision_bits(text: str) -> int:
-    """argparse type for ``--prec``: working bits, at least 64."""
-    bits = int(text)
-    if bits < 64:
-        raise argparse.ArgumentTypeError("must be at least 64 bits")
-    return bits
 
 
 def positive_int(text: str) -> int:
@@ -110,16 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ak", help="A_k(n) as a decimal")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--prec", type=precision_bits, default=128)
+    p.add_argument("--prec", type=int, default=128)
 
     p = sub.add_parser("bessel", help="I_{3/2}(x) by series and closed form")
     p.add_argument("x")
-    p.add_argument("--prec", type=precision_bits, default=128)
+    p.add_argument("--prec", type=int, default=128)
 
     p = sub.add_parser("verify", help="numerical checks of the transformation laws")
     p.add_argument("what", choices=("eta", "ftransform"))
     p.add_argument("--samples", type=positive_int, default=24)
-    p.add_argument("--prec", type=precision_bits, default=128)
+    p.add_argument("--prec", type=int, default=128)
 
     return parser
 

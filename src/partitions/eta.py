@@ -4,8 +4,11 @@ laws checked numerically.
 eta(tau) = exp(pi i tau / 12) * prod_{m>=1} (1 - q^m),  q = exp(2 pi i tau),
 for tau in the upper half-plane.  F(x) = prod_{m>=1} 1/(1 - x^m) is the
 partition generating function, related by eta(tau) = exp(pi i tau/12) /
-F(q) ... both products are truncated once |q|^m (resp. |x|^m) falls below
-2^-(bits+8).
+F(q).  Both products are Euler's function phi(q) = prod_{m>=1} (1 - q^m),
+which ``mp.qp(q)`` sums by Euler's pentagonal theorem (the identity behind
+the recurrence in :mod:`partitions.exact`) until a term falls below the
+working precision.  Its term count is capped at 50 times the working bits;
+near the real axis (|q| close to 1) it raises mpmath's ``NoConvergence``.
 
 ``verify_eta`` evaluates both sides of the modular transformation
 
@@ -18,10 +21,12 @@ behaviour of F near a root of unity exp(2 pi i h / k):
   F(w) = exp(pi i s(h,k)) (z/k)^(1/2) exp(pi/(12 z) - pi z/(12 k^2)) F(w')
 
 with w = exp(2 pi i h/k - 2 pi z/k^2), w' = exp(2 pi i H/k - 2 pi/z) and
-h H = -1 (mod k), 1 <= H <= k.  Both checks keep all rational phases exact
-(reduced mod 2) before any floating call; for Re z > 0 and c > 0 every
-square root argument stays in the right half-plane, so the principal
-branch is the correct one throughout.
+h H = -1 (mod k), 1 <= H <= k.  The rational phases multiplying the two
+sides, (a+d)/(12 c) + s(-d, c) and s(h, k), are kept exact (reduced mod 2)
+before any floating call; w and w' themselves are formed in floating
+point at the working precision.  For Re z > 0 and c > 0 every square root
+argument stays in the right half-plane, so the principal branch is the
+correct one throughout.
 """
 
 from __future__ import annotations
@@ -49,32 +54,16 @@ def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
         x = mpmathify(x)
         if abs(x) >= 1:
             raise ValueError("generating product diverges for |x| >= 1")
-        thresh = ctx.tail_threshold
-        prod = x * 0 + 1  # one of the same type as x
-        power = prod
-        while True:
-            power *= x
-            prod /= 1 - power
-            if abs(power) < thresh:
-                return prod
+        return 1 / mp.qp(x)
 
 
 def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
-    """Dedekind eta via its product, truncated to the context precision."""
+    """Dedekind eta, exp(pi i tau/12) times Euler's function of exp(2 pi i tau)."""
     with ctx.workprec():
         tau = mpc(tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
-        q = mp.expjpi(2 * tau)
-        thresh = ctx.tail_threshold
-        prod = mpc(1)
-        power = mpc(1)
-        while True:
-            power *= q
-            prod *= 1 - power
-            if abs(power) < thresh:
-                break
-        return mp.expjpi(tau / 12) * prod
+        return mp.expjpi(tau / 12) * mp.qp(mp.expjpi(2 * tau))
 
 
 @dataclass(frozen=True)

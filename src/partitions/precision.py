@@ -18,7 +18,7 @@ from fractions import Fraction
 # below the advertised precision
 GUARD_BITS = 16
 
-# series/products stop once a term drops below 2^-(bits + TAIL_GUARD_BITS)
+# series stop once a term drops below 2^-(bits + TAIL_GUARD_BITS)
 TAIL_GUARD_BITS = 8
 
 
@@ -39,7 +39,7 @@ class PrecisionContext:
 
     @property
     def tail_threshold(self) -> mpf:
-        """Truncation threshold for convergent series and products."""
+        """Truncation threshold for convergent series."""
         from mpmath import mpf
         return mpf(2) ** (-self.bits - TAIL_GUARD_BITS)
 

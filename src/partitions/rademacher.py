@@ -49,8 +49,10 @@ first order in eps:
 
 So |computed R_k - R_k| <= eps H_k (35 + 5.1 u_k + sqrt(k/3)(2k + 19)),
 where H_k = P k^(3/2) (1 + u_k) e^(u_k) bounds the magnitudes that cancel,
-P sqrt(k) |A_k| (u_k cosh u_k + sinh u_k); and, each partial sum being at
-most sum H_k, the N - 1 additions of the sum add eps (N - 1) sum H_k.  As
+P sqrt(k) |A_k| (u_k cosh u_k + sinh u_k).  mp.fsum forms the sum
+exactly (it drops only a term over 2p bits below its last bit) and rounds
+once, by at most eps sum H_k, within the eps (N - 1) sum H_k kept for the
+sum; for N = 1 the one term already has p bits and is not rounded.  As
 k <= N and u_k <= a, with H_N* the value of H_k at k = N, u_k = a,
 
     E_full = 2 eps N H_N* (N + 34 + 5.1a + sqrt(N/3)(2N + 19))
@@ -84,10 +86,10 @@ So, with u = a/k,
     E_k = 2 eps P k S (1 + u) e^u (2u + 35) / sqrt(3)
 
 bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms
-and the rounding of E_k itself.  A float term converts to mpf exactly and
-is added to the sum at full width, which E_full covers: the float terms'
-errors, below 1/8 in all, move the partial sums by far less than the
-factor 2 allows.
+and the rounding of E_k itself.  A float term enters mp.fsum exactly (a
+float is a dyadic rational), and the sum's rounding is covered by E_full:
+the float terms' errors, below 1/8 in all, move the sum by far less than
+the factor 2 allows.
 
 Routing.  Term k >= 3 is computed in floats when E_k <= B = (1/4 - T -
 E_full)/(2N); otherwise, and whenever u > 700 (e^u would overflow), by
@@ -125,9 +127,12 @@ _FLOAT_TERM_C = 2 * 2.0**-50 / math.sqrt(3)
 
 @dataclass(frozen=True)
 class SeriesTerm:
+    """Term k: A_k(n) and R_k(n), as mpf from :func:`r_k` or as float from
+    the float route of :func:`p_series`."""
+
     k: int
-    a_k: mpf
-    r_k: mpf
+    a_k: mpf | float
+    r_k: mpf | float
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,16 @@ class CertificationError(RuntimeError):
     """The error budget T + E does not certify the rounded partial sum."""
 
 
+def _alpha_float(n: int) -> float:
+    """alpha(n) = pi sqrt((2/3)(n - 1/24)) in floats, for the bounds."""
+    return math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
+
+
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    a = math.pi * math.sqrt(2.0 / 3.0 * (n - 1.0 / 24.0))
-    return max(64, math.ceil(a / math.log(2)) + 64)
+    return max(64, math.ceil(_alpha_float(n) / math.log(2)) + 64)
 
 
 def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -196,7 +205,7 @@ def truncation_bound(n: int, n_terms: int) -> float:
     if n < 1 or n_terms < 1:
         raise ValueError("n and N must be positive integers")
     if n == 1:
-        a = math.pi * math.sqrt(2 / 3 * (1 - 1 / 24))
+        a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * math.sqrt(3) * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
     else:
         x = math.pi * math.sqrt(2 * n / 3) / n_terms
@@ -216,7 +225,7 @@ def terms_needed(n: int) -> int:
 
 def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
     """E_full >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
-    a = math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
+    a = _alpha_float(n)
     coeff = n_terms + 34 + 5.1 * a + math.sqrt(n_terms / 3) * (2 * n_terms + 19)
     log_e = (1 - bits - GUARD_BITS) * math.log(2) + math.log1p(a) + a + math.log(
         2 * math.pi**2 * n_terms**2.5 * coeff / (3 * math.sqrt(3) * a**3)
@@ -267,13 +276,11 @@ def p_series(n: int) -> SeriesReport:
             terms.append(r_k(n, k, ctx))
         else:
             weight, value, bound = fast
-            terms.append(SeriesTerm(k, mpf(weight), mpf(value)))
+            terms.append(SeriesTerm(k, weight, value))
             bounds.append(bound)
     e = math.fsum(bounds)
     with ctx.workprec():
-        total = mpf(0)
-        for term in terms:  # fixed ascending order for reproducibility
-            total += term.r_k
+        total = mp.fsum(term.r_k for term in terms)
         rounded = int(mp.nint(total))
         gap = abs(total - rounded)
     if not (t + e < 0.25 and t + e + gap < 0.5):

@@ -76,6 +76,43 @@ def test_generating_function_reference_point():
         assert abs(product - series) / series < mpf(10) ** -30
 
 
+def _euler_product_oracle(q, ctx):
+    """prod_{m>=1} (1 - q^m) by the truncated product, stopped once |q|^m
+    falls below 2^-(bits+8): an independent route to mp.qp(q)."""
+    with ctx.workprec():
+        thresh = ctx.tail_threshold
+        prod = q * 0 + 1  # one of the same type as q
+        power = prod
+        while True:
+            power *= q
+            prod *= 1 - power
+            if abs(power) < thresh:
+                return prod
+
+
+def _assert_close(value, reference):
+    """value, computed at CTX, within 2^-(bits-8) of the 2x-bits reference."""
+    with CTX256.workprec():
+        assert abs(value - reference) <= abs(reference) * mpf(2) ** -(CTX.bits - 8)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.3 + 0.002j, 0.001j])
+def test_eta_matches_product_oracle(tau):
+    tau = mpc(tau)
+    with CTX256.workprec():
+        reference = mp.expjpi(tau / 12) * _euler_product_oracle(mp.expjpi(2 * tau), CTX256)
+    _assert_close(eta(tau, CTX), reference)
+
+
+def test_generating_function_matches_product_oracle():
+    with CTX.workprec():
+        xs = [mpf(0), mpf(2) ** -60, mp.exp(-mp.pi / 48), mpf("0.8") * mp.expj(mpf("0.3"))]
+    for x in xs:
+        with CTX256.workprec():
+            reference = 1 / _euler_product_oracle(x, CTX256)
+        _assert_close(generating_function(x, CTX), reference)
+
+
 def test_eta_known_value_at_i():
     # eta(i) = Gamma(1/4) / (2 pi^{3/4}), a classical closed form
     with CTX.workprec():
