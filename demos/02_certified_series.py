@@ -3,8 +3,9 @@
 Each term couples an exponential-sum weight A_k(n) with a hyperbolic
 factor; the partial sum converges onto the integer p(n).  The term count
 N is the smallest for which Lehmer's truncation bound T falls below 1/4,
-and the report carries T, the floating-error bound E of the summation, and
-the distance to the nearest integer: T + E < 1/4 proves the rounding.
+and the report carries T, the floating-error bound E (each term's own
+bound plus one rounding of the sum), and the distance to the nearest
+integer: T + E < 1/4 proves the rounding.
 """
 
 from mpmath import mp

@@ -6,8 +6,10 @@ r"""Modified Bessel function of the first kind, by two independent routes.
 
 whose terms are positive and monotonically shrinking once j exceeds x/2,
 so there is no cancellation to worry about; the sum stops when a term is
-below 2^-(bits+8) of the running total.  For nu = 3/2 the Gamma factors
-are half-integral and exact:
+below 2^-(bits+8) of the running total.  That takes about x terms, so the
+cost grows linearly in x (0.1 s at x = 10^4 and 0.8 s at 10^5 on a 2-vCPU
+Xeon VM, at 128 bits), and the series refuses x > 10^5.  For nu = 3/2 the
+Gamma factors are half-integral and exact:
 
     Gamma(j + 5/2) = sqrt(pi) (2j+3)!! / 2^(j+2),
 
@@ -29,21 +31,24 @@ from mpmath import mp, mpf
 
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 
+# largest x the power series accepts (its cost is linear in x)
+_SERIES_MAX_X = 10**5
+
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Power-series I_nu(x) for finite x >= 0, nu > -1.
+    """Power-series I_nu(x) for 0 <= x <= 10^5, nu > -1.
 
     Parameters
     ----------
     nu : order; number or Fraction.  nu = 3/2 uses the exact half-integer
         Gamma seed, every other order seeds with Gamma(nu+1).
-    x : finite nonnegative argument (number or decimal string).
+    x : argument in [0, 10^5] (number or decimal string).
     ctx : target precision.
     """
     with ctx.workprec():
         x = mpf(x)
-        if not 0 <= x < mp.inf:
-            raise ValueError("x must be finite and nonnegative")
+        if not 0 <= x <= _SERIES_MAX_X:
+            raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
         nu_f = ctx.real(nu)
         if not nu_f > -1:
             raise ValueError("nu must be greater than -1")

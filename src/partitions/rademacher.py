@@ -25,12 +25,15 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).
 
-Floating-error bound E.  The terms k = 1, 2, every term routed away from
-floats (below), and the sum are computed at p = bits + GUARD_BITS.  Model:
-each mpmath operation used (arithmetic, integer power, sqrt, pi, exp,
-cospi) is exact for its computed operands up to a relative eps = 2^(1-p),
-twice the correct-rounding bound; integers below 2^p convert exactly.  To
-first order in eps:
+Floating-error bound E.  Each term carries its own bound, set by the
+route that computed it; E is their sum plus one rounding of the sum.
+
+Wide terms.  The terms k = 1, 2 and every term routed away from floats
+(below) are computed by :func:`r_k` at p = bits + GUARD_BITS.  Model: each
+mpmath operation used (arithmetic, integer power, sqrt, pi, exp, cospi) is
+exact for its computed operands up to a relative eps = 2^(1-p), twice the
+correct-rounding bound; integers below 2^p convert exactly.  To first order
+in eps:
 
 * A_k, by Selberg's formula (see :mod:`partitions.dedekind`).  A_1 and A_2
   are exact.  For k >= 3 the sum has S <= 2k summands, one per l at most.
@@ -47,18 +50,14 @@ first order in eps:
   factor by eps (9.1 + 5.1u)(1 + u) e^u; sqrt(k) and the three products
   add 4 eps.
 
-So |computed R_k - R_k| <= eps H_k (35 + 5.1 u_k + sqrt(k/3)(2k + 19)),
-where H_k = P k^(3/2) (1 + u_k) e^(u_k) bounds the magnitudes that cancel,
-P sqrt(k) |A_k| (u_k cosh u_k + sinh u_k).  mp.fsum forms the sum
-exactly (it drops only a term over 2p bits below its last bit) and rounds
-once, by at most eps sum H_k, within the eps (N - 1) sum H_k kept for the
-sum; for N = 1 the one term already has p bits and is not rounded.  As
-k <= N and u_k <= a, with H_N* the value of H_k at k = N, u_k = a,
+So, with H = P k^(3/2) (1 + u) e^u bounding the magnitudes that cancel,
+P sqrt(k) |A_k| (u cosh u + sinh u),
 
-    E_full = 2 eps N H_N* (N + 34 + 5.1a + sqrt(N/3)(2N + 19))
+    bound = 2 eps H (35 + 5.1u + sqrt(k/3)(2k + 19))
 
-bounds the total for N full-width terms; the factor 2 absorbs the
-second-order terms.  E_full is evaluated in log space and rounded up.
+bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms.
+It is evaluated in log space, as e^u overflows a float for the head terms
+from n ~ 7.7e4, rounded up and raised to at least e^-700.
 
 Float terms.  Term k >= 3 is far smaller than the sum (about e^(a/k)), so
 most terms are computed in hardware floats (:mod:`math`) instead.  Model:
@@ -86,24 +85,27 @@ So, with u = a/k,
     E_k = 2 eps P k S (1 + u) e^u (2u + 35) / sqrt(3)
 
 bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms
-and the rounding of E_k itself.  A float term enters mp.fsum exactly (a
-float is a dyadic rational), and the sum's rounding is covered by E_full:
-the float terms' errors, below 1/8 in all, move the sum by far less than
-the factor 2 allows.
+and the rounding of E_k itself.
 
-Routing.  Term k >= 3 is computed in floats when E_k <= B = (1/4 - T -
-E_full)/(2N); otherwise, and whenever u > 700 (e^u would overflow), by
-:func:`r_k` at full width.  E = E_full + the sum of the float terms' E_k,
-added by math.fsum (one rounding, far inside the margins above), so
-E <= E_full + (1/4 - T - E_full)/2 and T + E < 1/4 whenever T + E_full <
-1/4.  B is a share of the slack 1/4 - T, not a fixed size, because the
-slack can be small: 3.3e-7 at n = 13312 and 3.8e-9 at n = 184570.
+The sum.  Every term enters mp.fsum exactly: an mpf term has p bits, and a
+float is a dyadic rational.  mp.fsum forms the sum S exactly (it drops only
+a term over 2p bits below its last bit) and rounds once, by less than
+2 eps |S| with eps = 2^(1-p).  So E = the sum of the term bounds + 2 eps |S|,
+added by math.fsum and rounded up.
+
+Routing.  Term k >= 3 is computed in floats when E_k <= B = (1/4 - T)/(2N);
+otherwise, and whenever u > 700 (e^u would overflow), by :func:`r_k`.  The
+float terms' bounds thus take at most half the slack 1/4 - T.  B is a share
+of the slack, not a fixed size, because the slack can be small: 3.3e-7 at
+n = 13312 and 3.8e-9 at n = 184570.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
 gap = |S - nint(S)|, which also gives gap < 1/4; otherwise it raises
 :class:`CertificationError`.  There is no retry: at ``default_precision``
-E_full < 2^-47 for every n up to 10^12, so a failure means too few bits.
+the wide terms' bounds summed to at most 1e-22 (at n = 1) for every
+n <= 3000 and 41 n log-spaced up to 10^6, and 2 eps |S| is below 2^-76, far
+inside the other half of the slack; so a failure means too few bits.
 """
 
 from __future__ import annotations
@@ -128,11 +130,12 @@ _FLOAT_TERM_C = 2 * 2.0**-50 / math.sqrt(3)
 @dataclass(frozen=True)
 class SeriesTerm:
     """Term k: A_k(n) and R_k(n), as mpf from :func:`r_k` or as float from
-    the float route of :func:`p_series`."""
+    the float route of :func:`p_series`, and ``bound`` >= the error of R_k."""
 
     k: int
     a_k: mpf | float
     r_k: mpf | float
+    bound: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def _per_n(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
 
 
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
-    """The k-th series term R_k(n) together with its A_k(n) weight."""
+    """The k-th series term R_k(n), its A_k(n) weight and its error bound."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     with ctx.workprec():
@@ -197,7 +200,14 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
         u = a / k
         x = mp.exp(u)
         value = prefactor * mp.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2
-        return SeriesTerm(k, weight, value)
+    # bound = 2 eps P k^(3/2) (1 + u) e^u (35 + 5.1u + sqrt(k/3)(2k + 19)), eps = 2^(1-p),
+    # raised to at least e^-700 so that it never underflows
+    u = float(u)
+    log_bound = u + (2 - ctx.bits - GUARD_BITS) * math.log(2) + math.log(
+        float(prefactor) * k**1.5 * (1 + u) * (35 + 5.1 * u + math.sqrt(k / 3) * (2 * k + 19))
+    )
+    bound = math.inf if log_bound > 700 else math.exp(max(log_bound, -700)) * _ROUND_UP
+    return SeriesTerm(k, weight, value, bound)
 
 
 def truncation_bound(n: int, n_terms: int) -> float:
@@ -223,23 +233,8 @@ def terms_needed(n: int) -> int:
     return n_terms
 
 
-def _float_error_bound(n: int, n_terms: int, bits: int) -> float:
-    """E_full >= |computed - exact| for the sum of R_1..R_N at bits + GUARD_BITS."""
-    a = _alpha_float(n)
-    coeff = n_terms + 34 + 5.1 * a + math.sqrt(n_terms / 3) * (2 * n_terms + 19)
-    log_e = (1 - bits - GUARD_BITS) * math.log(2) + math.log1p(a) + a + math.log(
-        2 * math.pi**2 * n_terms**2.5 * coeff / (3 * math.sqrt(3) * a**3)
-    )
-    return math.inf if log_e > 700 else math.exp(log_e) * _ROUND_UP
-
-
-def _float_budget(t: float, e_full: float, n_terms: int) -> float:
-    """B, the bound E_k a float term must meet: (1/4 - T - E_full)/(2N)."""
-    return (0.25 - t - e_full) / (2 * n_terms)
-
-
-def _float_term(n: int, k: int, a: float, p: float, budget: float):
-    """(A_k, R_k, E_k) for k >= 3 in floats, from ``a`` = alpha(n) and ``p`` = P
+def _float_term(n: int, k: int, a: float, p: float, budget: float) -> SeriesTerm | None:
+    """Term k >= 3 in floats, with bound E_k, from ``a`` = alpha(n) and ``p`` = P
     rounded to floats; None when E_k > ``budget`` or e^(a/k) would overflow."""
     u = a / k
     if u > 700:
@@ -252,7 +247,7 @@ def _float_term(n: int, k: int, a: float, p: float, budget: float):
     weight = math.sqrt(k / 3) * math.fsum(
         math.cos(math.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
     )
-    return weight, p * math.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2, bound
+    return SeriesTerm(k, weight, p * math.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2, bound)
 
 
 def p_series(n: int) -> SeriesReport:
@@ -260,29 +255,25 @@ def p_series(n: int) -> SeriesReport:
 
     Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
     ``default_precision(n)`` bits (which rejects n < 1); each term k >= 3
-    whose float bound E_k fits the budget is computed in floats.
+    whose float bound E_k fits B = (1/4 - T)/(2N) is computed in floats.
     """
     bits = default_precision(n)
     n_terms = terms_needed(n)
     ctx = PrecisionContext(bits)
     t = truncation_bound(n, n_terms)
-    e_full = _float_error_bound(n, n_terms, bits)
-    budget = _float_budget(t, e_full, n_terms)
+    budget = (0.25 - t) / (2 * n_terms)
     a, prefactor = (float(v) for v in _per_n(n, ctx))
-    terms, bounds = [], [e_full]
-    for k in range(1, n_terms + 1):
-        fast = _float_term(n, k, a, prefactor, budget) if k >= 3 else None
-        if fast is None:
-            terms.append(r_k(n, k, ctx))
-        else:
-            weight, value, bound = fast
-            terms.append(SeriesTerm(k, weight, value))
-            bounds.append(bound)
-    e = math.fsum(bounds)
+    terms = [
+        (_float_term(n, k, a, prefactor, budget) if k >= 3 else None) or r_k(n, k, ctx)
+        for k in range(1, n_terms + 1)
+    ]
     with ctx.workprec():
         total = mp.fsum(term.r_k for term in terms)
         rounded = int(mp.nint(total))
         gap = abs(total - rounded)
+        # the one rounding of mp.fsum, 2 eps |S| with eps = 2^(1-p)
+        sum_rounding = float(mp.ldexp(abs(total), 2 - bits - GUARD_BITS))
+    e = (math.fsum(term.bound for term in terms) + sum_rounding) * _ROUND_UP
     if not (t + e < 0.25 and t + e + gap < 0.5):
         raise CertificationError(
             f"series for n={n} with N={n_terms} terms at {bits} bits is not certified: "

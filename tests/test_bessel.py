@@ -83,6 +83,10 @@ def test_input_validation():
         bessel_i_series(Fraction(3, 2), -1, CTX)
     with pytest.raises(ValueError):
         bessel_i_series(-1, 1, CTX)
+    # the series costs about x terms, so it stops at 10^5; the closed form goes on
+    with pytest.raises(ValueError):
+        bessel_i_series(Fraction(3, 2), "1e6", CTX)
+    assert bessel_i_3_2_closed("1e6", CTX) > 0
     with pytest.raises(ValueError):
         bessel_i_3_2_closed(0, CTX)
     with pytest.raises(ValueError):

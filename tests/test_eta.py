@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -120,6 +122,16 @@ def test_eta_known_value_at_i():
         value = eta(mpc(0, 1), CTX)
         assert abs(value.imag) < mpf(2) ** -100
         assert abs(value.real - expected) < mpf(2) ** -100
+
+
+def test_near_real_axis_fails_fast():
+    # Im tau = 10^-6 would run qp for seconds before NoConvergence; refused at once
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Im tau"):
+        eta(mpc(0.3, 1e-6), CTX)
+    with pytest.raises(ValueError, match=r"\|x\|"):
+        generating_function(1 - mpf(10) ** -7, CTX)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_eta_rejects_lower_half_plane():

@@ -16,7 +16,8 @@ from partitions.rademacher import (
     terms_needed,
     truncation_bound,
 )
-from partitions.rademacher import _float_error_bound, _float_term, _per_n
+from partitions.precision import GUARD_BITS
+from partitions.rademacher import _ROUND_UP, _float_term, _per_n
 
 CTX = PrecisionContext(128)
 
@@ -202,20 +203,26 @@ def test_truncation_bound_validation():
 def test_float_error_bound_covers_double_precision_rerun():
     for n in (1, 7, 100, 1000, 3000):
         report = p_series(n)
-        n_terms = report.n_terms_used
         ctx2 = PrecisionContext(2 * report.prec)
+        rerun = [r_k(n, k, ctx2) for k in range(1, report.n_terms_used + 1)]
         with ctx2.workprec():
-            total = mpf(0)
-            for k in range(1, n_terms + 1):
-                total += r_k(n, k, ctx2).r_k
+            total = mp.fsum(term.r_k for term in rerun)
             diff = abs(report.partial_sum - total)
-        # the rerun carries its own, far smaller, error bound
-        budget = report.float_error_bound + _float_error_bound(n, n_terms, 2 * report.prec)
-        assert diff <= budget
-        # E = E_full + the float terms' bounds, which take at most half the slack
-        t, e = report.truncation_bound, report.float_error_bound
-        e_full = _float_error_bound(n, n_terms, report.prec)
-        assert 0 < e_full <= e <= e_full + (0.25 - t - e_full) / 2
+            # the rerun carries its own, far smaller, error bound: its terms' and one rounding
+            rounding = abs(total) * mpf(2) ** (2 - ctx2.bits - GUARD_BITS)
+        assert diff <= report.float_error_bound + math.fsum(term.bound for term in rerun) + rounding
+
+
+@pytest.mark.parametrize("n", [7, 1000, 13312, 184570])
+def test_error_bound_is_the_sum_of_term_bounds(n):
+    # E = the terms' own bounds plus 2 eps |S| for the one rounding of the sum
+    report = p_series(n)
+    with mp.workprec(report.prec + GUARD_BITS):
+        rounding = float(abs(report.partial_sum) * mpf(2) ** (2 - report.prec - GUARD_BITS))
+    expected = (math.fsum(term.bound for term in report.terms) + rounding) * _ROUND_UP
+    assert report.float_error_bound == expected
+    t = report.truncation_bound
+    assert all(0 <= term.bound <= (0.25 - t) / (2 * report.n_terms_used) for term in report.terms)
 
 
 def test_float_terms_within_their_bounds():
@@ -225,19 +232,18 @@ def test_float_terms_within_their_bounds():
         ctx2 = PrecisionContext(2 * report.prec)
         a, p = (float(v) for v in _per_n(n, ctx))
         t, n_terms = report.truncation_bound, report.n_terms_used
-        e_full = _float_error_bound(n, n_terms, report.prec)
         routed = 0
         for term in report.terms[2:]:
             k = term.k
             # any budget: the bound holds for every k, not only the routed ones
-            weight, value, bound = _float_term(n, k, a, p, math.inf)
-            if term.r_k == value:  # p_series took this term from floats
+            fast = _float_term(n, k, a, p, math.inf)
+            if term == fast:  # p_series took this term from floats
                 routed += 1
-                assert bound <= (0.25 - t - e_full) / (2 * n_terms), (n, k)
+                assert fast.bound <= (0.25 - t) / (2 * n_terms), (n, k)
             reference = r_k(n, k, ctx2)
             with ctx2.workprec():
-                assert abs(mpf(value) - reference.r_k) <= bound, (n, k)
-                assert abs(mpf(weight) - reference.a_k) <= 2.0**-40 * k, (n, k)
+                assert abs(mpf(fast.r_k) - reference.r_k) <= fast.bound, (n, k)
+                assert abs(mpf(fast.a_k) - reference.a_k) <= 2.0**-40 * k, (n, k)
         assert routed > len(report.terms) // 2, n
 
 
@@ -250,7 +256,10 @@ def test_float_term_declines_where_exp_overflows():
 
 def test_every_term_in_floats_is_not_certified(monkeypatch):
     # routing the wide head terms to floats too must fail loudly, not round a wrong sum
-    monkeypatch.setattr("partitions.rademacher._float_budget", lambda *args: math.inf)
+    float_term = _float_term
+    monkeypatch.setattr(
+        "partitions.rademacher._float_term", lambda n, k, a, p, budget: float_term(n, k, a, p, math.inf)
+    )
     with pytest.raises(CertificationError):
         p_series(10**5)
 
@@ -307,6 +316,14 @@ def test_p_series_matches_exact_up_to_50000(exact_table):
     rng = random.Random(20261018)
     for n in sorted(rng.sample(range(15001, 50001), 4)):
         assert p_series(n).rounded == exact_table[n], n
+
+
+def test_p_series_wide_bounds_in_log_space():
+    # alpha(999999)/k > 700 for k = 1..3: e^u is no float, so these terms'
+    # bounds exist only in log space; 999999 = 5 * 199999 + 4 (Ramanujan)
+    report = p_series(999_999)
+    assert all(0 < term.bound < 1e-20 for term in report.terms[:3])
+    assert report.rounded % 5 == 0
 
 
 def test_p_series_ramanujan_congruences():
