@@ -25,112 +25,90 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).
 
-Floating-error bound E.  Each term carries its own bound, set by the
-route that computed it; E is their sum plus one rounding of the sum.
+Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
+which runs the same statements in hardware floats (:mod:`math`) or in
+mpmath at a width of p bits, and returns the term with its own bound
+E_k = eps C_k.  Model: each operation used (arithmetic, sqrt, exp, cos, pi,
+the one rounding of fsum, and rounding a value to the term's width) is
+exact for its computed operands up to a relative eps.  In floats eps = 2^-50,
+a 4-ulp margin over the 1-ulp error glibc's libm documents for exp and cos
+(arithmetic and sqrt are correctly rounded, within 2^-53); at p bits
+eps = 2^(1-p), twice the correct-rounding bound.  Integers below 2^53 and
+2^p convert exactly, which covers 6l + 1 < 12k.  a and P are computed once,
+8 bits above the full width (off by 4.1 and 21 of that width's eps, under
+0.02 and 0.09 eps of any term) and rounded to each term's width, so they
+are off by at most 1.02 and 1.09 eps.  With S the number of l in Selberg's
+sum, to first order in eps:
 
-Wide terms.  The terms k = 1, 2 and every term routed away from floats
-(below) are computed by :func:`r_k` at p = bits + GUARD_BITS.  Model: each
-mpmath operation used (arithmetic, integer power, sqrt, pi, exp, cospi) is
-exact for its computed operands up to a relative eps = 2^(1-p), twice the
-correct-rounding bound; integers below 2^p convert exactly.  To first order
-in eps:
+* A_k = (sqrt(k)/sqrt(3)) sum (-1)^l cos(pi (6l+1)/(6k)) for k >= 3, and
+  A_1 = 1, A_2 = (-1)^n exactly.  The cosine argument (< 2 pi) is rounded
+  three times (pi, the product, the quotient), so each summand is off by
+  (6 pi + 1) eps; fsum rounds the sum once, by at most S eps; sqrt(k),
+  sqrt(3), the quotient and the product add 4 eps relatively.  With
+  |A_k| <= S sqrt(k/3) (true for k <= 2 too),
+  |computed A_k - A_k| <= eps S sqrt(k/3)(6 pi + 6).
+* u = a/k is off by 2.1 eps, so e^u by (1 + 2.1u) eps relatively and u -+ 1
+  by (3.1u + 1) eps absolutely.  The factor u cosh u - sinh u is computed
+  as ((u - 1) e^u + (u + 1)/e^u)/2: each product is off by
+  eps (2.1u^2 + 7.2u + 3) e^u, and the factor by eps (2.1u + 6.1)(1 + u) e^u.
+* P, sqrt(k) and the three products add 5.1 eps relatively.
 
-* A_k, by Selberg's formula (see :mod:`partitions.dedekind`).  A_1 and A_2
-  are exact.  For k >= 3 the sum has S <= 2k summands, one per l at most.
-  Each cosine argument (6l+1)/(6k) < 2 is rounded once, so each summand is
-  off by (2 pi + 1) eps; the j-th partial sum has modulus <= j, so the
-  S - 1 additions add eps (2 + ... + S) <= eps k (2k + 1); sqrt(k/3) is off
-  by 3/2 eps relatively and the final product by eps.  With |A_k| <= k,
-  |computed A_k - A_k| <= eps k (5/2 + sqrt(k/3)(2k + 4 pi + 3))
-  <= eps k sqrt(k/3)(2k + 19).
-* a is off by 4.1 eps relatively and P by 21 eps; u = a/k is off by
-  5.1 eps, so e^u is off by (1 + 5.1u) eps relatively.  The factor
-  u cosh u - sinh u is computed as ((u - 1) e^u + (u + 1)/e^u)/2, so
-  each of the two products is off by eps (5.1u^2 + 13.2u + 3) e^u and the
-  factor by eps (9.1 + 5.1u)(1 + u) e^u; sqrt(k) and the three products
-  add 4 eps.
+So, with u = a/k and 6.1 + 6 pi + 6 + 5.1 < 37,
 
-So, with H = P k^(3/2) (1 + u) e^u bounding the magnitudes that cancel,
-P sqrt(k) |A_k| (u cosh u + sinh u),
-
-    bound = 2 eps H (35 + 5.1u + sqrt(k/3)(2k + 19))
+    E_k = eps C_k,  C_k = 2 P k S (1 + u) e^u (2.1u + 37) / sqrt(3),
 
 bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms.
-It is evaluated in log space, as e^u overflows a float for the head terms
-from n ~ 7.7e4, rounded up and raised to at least e^-700.
+C_k is evaluated in log space, as e^u overflows a float for the head terms
+from n ~ 7.7e4, and E_k is rounded up and raised to at least e^-700.
 
-Float terms.  Term k >= 3 is far smaller than the sum (about e^(a/k)), so
-most terms are computed in hardware floats (:mod:`math`) instead.  Model:
-each float operation used (arithmetic, sqrt, exp, cos, and rounding an mpf
-to float) is exact for its computed operands up to a relative eps = 2^-50.
-That is a 4-ulp margin over the 1-ulp error glibc's libm documents for exp
-and cos; arithmetic and sqrt are correctly rounded, within 2^-53.  Integers
-below 2^53 convert exactly, which covers 6l + 1 < 12k <= 12N.  a and P are
-rounded from their full-width values, each off by eps relatively, so n
-itself never enters float arithmetic.  With S the number of l in
-Selberg's sum:
+The sum.  Every term enters mp.fsum exactly: an mpf term has at most the
+full width p bits, and a float is a dyadic rational.  mp.fsum forms the sum
+S exactly (it drops only a term over 2p bits below its last bit) and rounds
+once, by less than 2 eps |S| with eps = 2^(1-p).  So E = the sum of the term
+bounds + 2 eps |S|, added by math.fsum and rounded up.
 
-* A_k = sqrt(k/3) sum (-1)^l cos(pi (6l+1)/(6k)).  The cosine argument
-  (< 2 pi) is rounded three times (pi, the product, the quotient), so each
-  summand is off by (6 pi + 1) eps; math.fsum rounds the sum once, by at
-  most S eps; sqrt(k/3) and the product add 5/2 eps relatively.  With
-  |A_k| <= S sqrt(k/3), |computed A_k - A_k| <= eps S sqrt(k/3)(6 pi + 4.5).
-* u = a/k is off by 2 eps, so e^u by (1 + 2u) eps relatively and u -+ 1 by
-  (3u + 1) eps absolutely; each of (u - 1) e^u and (u + 1)/e^u is off by
-  eps (2u^2 + 7u + 3) e^u, and the factor by eps (2u + 6)(1 + u) e^u.
-* P, sqrt(k) and the three products add 5 eps relatively.
-
-So, with u = a/k,
-
-    E_k = 2 eps P k S (1 + u) e^u (2u + 35) / sqrt(3)
-
-bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms
-and the rounding of E_k itself.
-
-The sum.  Every term enters mp.fsum exactly: an mpf term has p bits, and a
-float is a dyadic rational.  mp.fsum forms the sum S exactly (it drops only
-a term over 2p bits below its last bit) and rounds once, by less than
-2 eps |S| with eps = 2^(1-p).  So E = the sum of the term bounds + 2 eps |S|,
-added by math.fsum and rounded up.
-
-Routing.  Term k >= 3 is computed in floats when E_k <= B = (1/4 - T)/(2N);
-otherwise, and whenever u > 700 (e^u would overflow), by :func:`r_k`.  The
-float terms' bounds thus take at most half the slack 1/4 - T.  B is a share
-of the slack, not a fixed size, because the slack can be small: 3.3e-7 at
-n = 13312 and 3.8e-9 at n = 184570.
+Routing.  Term k runs at the fewest bits p_k = ceil(2 + log2(C_k/B)) with
+eps C_k <= B/2, B = (1/4 - T)/(2N) being its share of the slack and the
+factor 2 a margin for the floating evaluation of E_k.  Floats count as 51
+bits: the term runs in floats if p_k <= 51 and u <= 700, else in mpmath at
+max(p_k, 51) bits, capped at the full width.  B is a share of the slack,
+not a fixed size, because the slack can be small: 3.3e-7 at n = 13312 and
+3.8e-9 at n = 184570.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
 gap = |S - nint(S)|, which also gives gap < 1/4; otherwise it raises
-:class:`CertificationError`.  There is no retry: at ``default_precision``
-the wide terms' bounds summed to at most 1e-22 (at n = 1) for every
-n <= 3000 and 41 n log-spaced up to 10^6, and 2 eps |S| is below 2^-76, far
-inside the other half of the slack; so a failure means too few bits.
+:class:`CertificationError`.  Unless a term hits the cap, the bounds sum to
+at most N B = (1/4 - T)/2 by construction, and 2 eps |S| < 2^-76 as
+``default_precision`` leaves 64 bits below |S|.  So at ``default_precision``
+it raises only if 1/4 - T < 2^-75, and there is no retry.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .dedekind import a_k, selberg_roots
+from .dedekind import selberg_roots
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
 _LEHMER_C1 = 44 * math.pi**2 / (225 * math.sqrt(3))
 _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 # relative margin rounding the float-evaluated bounds upward
 _ROUND_UP = 1 + 2.0**-32
-# E_k = _FLOAT_TERM_C P k S (1 + u) e^u (2u + 35), for the float model's eps = 2^-50
-_FLOAT_TERM_C = 2 * 2.0**-50 / math.sqrt(3)
+# the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
+_FLOAT_BITS = 51
+# p_series refuses larger n: one vCPU of a Xeon VM took 18 s at 10^9 and 148 s at 10^10
+_MAX_N = 10**9
 
 
 @dataclass(frozen=True)
 class SeriesTerm:
-    """Term k: A_k(n) and R_k(n), as mpf from :func:`r_k` or as float from
-    the float route of :func:`p_series`, and ``bound`` >= the error of R_k."""
+    """Term k: A_k(n) and R_k(n), as float or mpf as the term was computed,
+    and ``bound`` >= the error of R_k."""
 
     k: int
     a_k: mpf | float
@@ -178,36 +156,54 @@ def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
 
 
-@lru_cache(maxsize=1)
-def _per_n(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3) at ``ctx``.
-
-    One entry suffices: :func:`p_series` and the :func:`r_k` calls it makes
-    share one (n, ctx), so these are computed once per series.
-    """
+def _alpha_p(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
+    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), 8 bits above the width of ``ctx``."""
+    ctx = PrecisionContext(ctx.bits + 8)
     a = alpha(n, ctx)
     with ctx.workprec():
         return a, mp.pi**2 / (3 * mp.sqrt(3) * a**3)
 
 
-def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
-    """The k-th series term R_k(n), its A_k(n) weight and its error bound."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
-    with ctx.workprec():
-        weight = a_k(k, n, ctx)
-        a, prefactor = _per_n(n, ctx)
+def _log_c(k: int, s: int, u: float, p: float) -> float:
+    """log C_k: term k with S = ``s`` Selberg roots, u = a/k and P = ``p``
+    is off by at most E_k = eps C_k; -inf when S = 0, as A_k = 0 exactly."""
+    if not s:
+        return -math.inf
+    return u + math.log(2 * p * k * s * (1 + u) * (2.1 * u + 37) / math.sqrt(3))
+
+
+def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | None,
+          log_c: float) -> SeriesTerm:
+    """Term k from Selberg's ``roots``, alpha = ``a`` and P = ``p``, rounded
+    to floats and run in :mod:`math` when ``bits`` is None, else rounded to
+    ``bits`` and run in mpmath; and its bound E_k = eps C_k from log C_k =
+    ``log_c``, rounded up, +inf above e^700 and at least e^-700."""
+    lib, real = (math, float) if bits is None else (mp, mpf)
+    with nullcontext() if bits is None else mp.workprec(bits):
+        a, p, root_k = real(a), real(p), lib.sqrt(k)
+        if k <= 2:
+            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
+            weight = real(-1 if roots[0] else 1)
+        else:
+            weight = root_k / lib.sqrt(3) * lib.fsum(
+                lib.cos(lib.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
+            )
         u = a / k
-        x = mp.exp(u)
-        value = prefactor * mp.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2
-    # bound = 2 eps P k^(3/2) (1 + u) e^u (35 + 5.1u + sqrt(k/3)(2k + 19)), eps = 2^(1-p),
-    # raised to at least e^-700 so that it never underflows
-    u = float(u)
-    log_bound = u + (2 - ctx.bits - GUARD_BITS) * math.log(2) + math.log(
-        float(prefactor) * k**1.5 * (1 + u) * (35 + 5.1 * u + math.sqrt(k / 3) * (2 * k + 19))
-    )
+        x = lib.exp(u)
+        value = p * root_k * weight * ((u - 1) * x + (u + 1) / x) / 2
+    log_bound = log_c + (1 - (bits or _FLOAT_BITS)) * math.log(2)
     bound = math.inf if log_bound > 700 else math.exp(max(log_bound, -700)) * _ROUND_UP
     return SeriesTerm(k, weight, value, bound)
+
+
+def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
+    """The k-th series term R_k(n), its A_k(n) weight and its error bound,
+    computed at the width of ``ctx``."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive integers")
+    a, p = _alpha_p(n, ctx)
+    roots = selberg_roots(k, n)
+    return _term(k, roots, a, p, ctx.bits + GUARD_BITS, _log_c(k, len(roots), float(a) / k, float(p)))
 
 
 def truncation_bound(n: int, n_terms: int) -> float:
@@ -233,40 +229,43 @@ def terms_needed(n: int) -> int:
     return n_terms
 
 
-def _float_term(n: int, k: int, a: float, p: float, budget: float) -> SeriesTerm | None:
-    """Term k >= 3 in floats, with bound E_k, from ``a`` = alpha(n) and ``p`` = P
-    rounded to floats; None when E_k > ``budget`` or e^(a/k) would overflow."""
-    u = a / k
-    if u > 700:
+def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | None:
+    """The fewest bits p with eps C_k <= B/2 for a term with u = a/k and
+    log C_k = ``log_c``, B = e^``log_budget``: None (floats) if p <= 51 and
+    u <= 700, else p for mpmath, at most ``width``."""
+    bits = 2 + (log_c - log_budget) / math.log(2)
+    if bits <= _FLOAT_BITS and u <= 700:
         return None
-    roots = selberg_roots(k, n)
-    x = math.exp(u)
-    bound = _FLOAT_TERM_C * p * k * len(roots) * (1 + u) * x * (2 * u + 35)
-    if bound > budget:
-        return None
-    weight = math.sqrt(k / 3) * math.fsum(
-        math.cos(math.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
-    )
-    return SeriesTerm(k, weight, p * math.sqrt(k) * weight * ((u - 1) * x + (u + 1) / x) / 2, bound)
+    return min(width, math.ceil(max(bits, _FLOAT_BITS)))
 
 
 def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
     Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
-    ``default_precision(n)`` bits (which rejects n < 1); each term k >= 3
-    whose float bound E_k fits B = (1/4 - T)/(2N) is computed in floats.
+    ``default_precision(n)`` bits (which rejects n < 1); each term runs at
+    the fewest bits whose bound fits B = (1/4 - T)/(2N), in floats when
+    their bound does.  n above ``_MAX_N`` = 10^9 is refused.
     """
+    if n > _MAX_N:
+        raise ValueError(f"n must be at most {_MAX_N} for the series")
     bits = default_precision(n)
     n_terms = terms_needed(n)
     ctx = PrecisionContext(bits)
     t = truncation_bound(n, n_terms)
-    budget = (0.25 - t) / (2 * n_terms)
-    a, prefactor = (float(v) for v in _per_n(n, ctx))
-    terms = [
-        (_float_term(n, k, a, prefactor, budget) if k >= 3 else None) or r_k(n, k, ctx)
-        for k in range(1, n_terms + 1)
-    ]
+    log_budget = math.log((0.25 - t) / (2 * n_terms))
+    a, p = _alpha_p(n, ctx)
+    a_float, p_float = float(a), float(p)
+    terms = []
+    for k in range(1, n_terms + 1):
+        roots = selberg_roots(k, n)
+        u = a_float / k
+        log_c = _log_c(k, len(roots), u, p_float)
+        term_bits = _term_bits(u, log_c, log_budget, bits + GUARD_BITS)
+        if term_bits is None:  # a and P rounded to floats once per series, not once per term
+            terms.append(_term(k, roots, a_float, p_float, None, log_c))
+        else:
+            terms.append(_term(k, roots, a, p, term_bits, log_c))
     with ctx.workprec():
         total = mp.fsum(term.r_k for term in terms)
         rounded = int(mp.nint(total))

@@ -319,13 +319,15 @@ GOLDEN = [
     ("--format json exact 7", 0, '{"n": 7, "p": "15"}\n'),
     ("exact 200", 0, "3972999029388\n"),
     ("exact -1", 2, ""),
-    ("series 7", 0, "sha256:edffe3ad103c4afac56f951a02a4a40d4e4a64a959f0907e3d17dbd0aaec3edb"),
-    ("series 200", 0, "sha256:fa09fc884bc825d61b7ca8597067d31d714e8421d532a0391c94c2bdb24ebff5"),
+    ("series 7", 0, "sha256:adfc3e528176f45732623f4826760ff110ce0bc50f4d3f28606c3aa5bac546e4"),
+    ("series 200", 0, "sha256:4309960366f79a02a7cc6b0ad864fc50431d03017bbd6a15b30b5f8ccf853070"),
     ("series 7 --terms 3 --prec 80", 2, ""),
     ("series 0", 2, ""),
     ("series -3", 2, ""),
     ("series 7 --prec 63", 2, ""),
     ("series 7 --terms 0", 2, ""),
+    ("series 100000000000000000000", 2, ""),
+    ("series 1" + "0" * 400, 2, ""),
     ("asym 10", 0, "sha256:c93c969c7b874d8c644d944a5101fccfebd69db2210c2248dd725db6714b1d76"),
     ("--format csv asym 10", 0, "sha256:907ca4fbf433a3a5b4055be893d6f6d1439f00af90d123c471fa4de581b930d7"),
     ("--format json asym 50", 0, "sha256:6043f317bb1bcdfe4a5101e768aa960bc3c21ad751f8a4fda5595c060b1fb1bc"),

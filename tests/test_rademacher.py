@@ -1,10 +1,12 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
-from partitions.dedekind import a_k
+from partitions.dedekind import a_k, selberg_roots
 from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
 from partitions.rademacher import (
@@ -17,7 +19,7 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS
-from partitions.rademacher import _ROUND_UP, _float_term, _per_n
+from partitions.rademacher import _ROUND_UP, _alpha_p, _log_c, _term, _term_bits
 
 CTX = PrecisionContext(128)
 
@@ -226,42 +228,63 @@ def test_error_bound_is_the_sum_of_term_bounds(n):
 
 
 def test_float_terms_within_their_bounds():
-    for n in (7, 1000, 13312):
+    # the one evaluator in both tiers, floats and mpmath, against r_k at twice the bits
+    tiers = set()
+    for n in (7, 1000, 13312, 184570, 10**5):
         report = p_series(n)
-        ctx = PrecisionContext(report.prec)
         ctx2 = PrecisionContext(2 * report.prec)
-        a, p = (float(v) for v in _per_n(n, ctx))
-        t, n_terms = report.truncation_bound, report.n_terms_used
-        routed = 0
-        for term in report.terms[2:]:
+        a, p = _alpha_p(n, PrecisionContext(report.prec))
+        budget = (0.25 - report.truncation_bound) / (2 * report.n_terms_used)
+        for term in report.terms:
             k = term.k
-            # any budget: the bound holds for every k, not only the routed ones
-            fast = _float_term(n, k, a, p, math.inf)
-            if term == fast:  # p_series took this term from floats
-                routed += 1
-                assert fast.bound <= (0.25 - t) / (2 * n_terms), (n, k)
+            roots = selberg_roots(k, n)
+            log_c = _log_c(k, len(roots), float(a) / k, float(p))
+            # any width: the bound holds for every k, not only at the route p_series took
+            computed = [term, _term(k, roots, a, p, 64, log_c)]
+            if float(a) / k <= 700:
+                computed.append(_term(k, roots, a, p, None, log_c))
             reference = r_k(n, k, ctx2)
-            with ctx2.workprec():
-                assert abs(mpf(fast.r_k) - reference.r_k) <= fast.bound, (n, k)
-                assert abs(mpf(fast.a_k) - reference.a_k) <= 2.0**-40 * k, (n, k)
-        assert routed > len(report.terms) // 2, n
+            for value in computed:
+                with ctx2.workprec():
+                    assert abs(mpf(value.r_k) - reference.r_k) <= value.bound + reference.bound, (n, k)
+                    assert abs(mpf(value.a_k) - reference.a_k) <= 2.0**-40 * k, (n, k)
+            assert term.bound <= budget, (n, k)
+            tiers.add(type(term.r_k))
+        assert sum(isinstance(term.r_k, float) for term in report.terms) > len(report.terms) // 2, n
+    assert tiers == {float, mpf}
 
 
 def test_float_term_declines_where_exp_overflows():
-    # alpha(10^6)/3 > 709.8: e^u is no float, so k = 3 stays at full width
-    a, p = (float(v) for v in _per_n(10**6, PrecisionContext(default_precision(10**6))))
-    assert _float_term(10**6, 3, a, p, math.inf) is None
-    assert _float_term(10**6, 4, a, p, math.inf) is not None
+    # alpha(10^6)/3 > 709.8: e^u is no float, so k = 3 never runs in floats, whatever its bound
+    n = 10**6
+    a = float(alpha(n, PrecisionContext(default_precision(n))))
+    assert a / 4 < 700 < a / 3
+    assert _term_bits(a / 3, -1000.0, 0.0, 10**4) is not None
+    assert _term_bits(a / 4, -1000.0, 0.0, 10**4) is None
+    assert all(not isinstance(term.r_k, float) for term in p_series(n).terms if a / term.k > 700)
 
 
 def test_every_term_in_floats_is_not_certified(monkeypatch):
     # routing the wide head terms to floats too must fail loudly, not round a wrong sum
-    float_term = _float_term
     monkeypatch.setattr(
-        "partitions.rademacher._float_term", lambda n, k, a, p, budget: float_term(n, k, a, p, math.inf)
+        "partitions.rademacher._term_bits", lambda u, log_c, log_budget, width: None if u <= 700 else width
     )
     with pytest.raises(CertificationError):
         p_series(10**5)
+
+
+def test_head_term_at_64_bits_is_not_certified(monkeypatch):
+    # one head term at too few bits must fail loudly too: k = 1 at 64 bits at n = 10^6
+    term_bits = _term_bits
+    calls = []
+
+    def head_at_64(u, log_c, log_budget, width):
+        calls.append(u)
+        return 64 if len(calls) == 1 else term_bits(u, log_c, log_budget, width)
+
+    monkeypatch.setattr("partitions.rademacher._term_bits", head_at_64)
+    with pytest.raises(CertificationError):
+        p_series(10**6)
 
 
 def test_report_error_budget():
@@ -322,7 +345,8 @@ def test_p_series_wide_bounds_in_log_space():
     # alpha(999999)/k > 700 for k = 1..3: e^u is no float, so these terms'
     # bounds exist only in log space; 999999 = 5 * 199999 + 4 (Ramanujan)
     report = p_series(999_999)
-    assert all(0 < term.bound < 1e-20 for term in report.terms[:3])
+    budget = (0.25 - report.truncation_bound) / (2 * report.n_terms_used)
+    assert all(0 < term.bound <= budget for term in report.terms[:3])
     assert report.rounded % 5 == 0
 
 
@@ -334,3 +358,24 @@ def test_p_series_ramanujan_congruences():
         for _ in range(3):
             n = modulus * rng.randrange(20_000 // modulus, 200_000 // modulus) + residue
             assert p_series(n).rounded % modulus == 0, n
+
+
+# p(n) mod 2^64, mod 10^9 + 7 and its bit length, from sympy's partition and,
+# for n <= 10^5, p_exact (tests/make_partition_residues.py); checked through
+# 10^7, where p_series takes under a second
+RESIDUES = [row for row in json.loads(Path(__file__).with_name("partition_residues.json").read_text())
+            if row["n"] <= 10**7]
+
+
+@pytest.mark.parametrize("row", RESIDUES, ids=[str(row["n"]) for row in RESIDUES])
+def test_p_series_matches_reference_residues(row):
+    value = p_series(row["n"]).rounded
+    assert value % 2**64 == row["mod_2_64"]
+    assert value % (10**9 + 7) == row["mod_1e9_7"]
+    assert value.bit_length() == row["bit_length"]
+
+
+@pytest.mark.parametrize("n", [10**9 + 1, 10**20, 10**400])
+def test_p_series_ceiling(n):
+    with pytest.raises(ValueError, match="at most 1000000000"):
+        p_series(n)
