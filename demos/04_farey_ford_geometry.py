@@ -1,6 +1,6 @@
 """Farey fractions, Ford circles, and the contour the circle method rides.
 
-Everything is exact rational arithmetic: mediant construction, tangency,
+Everything is exact rational arithmetic: the Farey sequences, tangency,
 the path arcs, and the w-plane chord bounds that make the series converge.
 """
 
@@ -19,7 +19,7 @@ from partitions import (
     QPoint,
 )
 
-print("Farey sequences by mediant insertion:")
+print("Farey sequences by the next-term rule:")
 for order in (1, 2, 3, 5):
     row = " ".join(str(f) for f in farey_sequence(order))
     print(f"  F_{order}: {row}")

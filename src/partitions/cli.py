@@ -55,6 +55,22 @@ def _cached(path, upto):
         cache_save(cache, path)
 
 
+@contextmanager
+def _unlimited_int_str():
+    """No limit on int-to-decimal conversion inside the block, and the
+    interpreter's limit (4300 digits by default, since Python 3.10.7)
+    again after it: the series report prints p(n) and mpf terms of more
+    digits from n ~ 1.6e7."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partitions",
@@ -140,20 +156,21 @@ def _cmd_series(args) -> int:
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "n": report.n,
-        "prec_bits": report.prec,
-        "n_terms_used": report.n_terms_used,
-        "terms": [
-            {"k": t.k, "a_k": mp.nstr(t.a_k, 20), "r_k": mp.nstr(t.r_k, 20)}
-            for t in report.terms
-        ],
-        "partial_sum": mp.nstr(report.partial_sum, 40),
-        "rounded": str(report.rounded),
-        "gap": mp.nstr(report.gap, 10),
-        "truncation_bound": f"{report.truncation_bound:.10g}",
-        "float_error_bound": f"{report.float_error_bound:.10g}",
-    }
+    with _unlimited_int_str():
+        payload = {
+            "n": report.n,
+            "prec_bits": report.prec,
+            "n_terms_used": report.n_terms_used,
+            "terms": [
+                {"k": t.k, "a_k": mp.nstr(t.a_k, 20), "r_k": mp.nstr(t.r_k, 20)}
+                for t in report.terms
+            ],
+            "partial_sum": mp.nstr(report.partial_sum, 40),
+            "rounded": str(report.rounded),
+            "gap": mp.nstr(report.gap, 10),
+            "truncation_bound": f"{report.truncation_bound:.10g}",
+            "float_error_bound": f"{report.float_error_bound:.10g}",
+        }
     print(json.dumps(payload))
     return 0
 

@@ -51,8 +51,7 @@ _IM_TAU_FLOOR = 1e-5
 def exp_i_pi_rational(t: Fraction) -> mpc:
     """exp(i*pi*t) for exact rational t, reduced mod 2 before evaluation."""
     t %= 2
-    x = mpf(t.numerator) / t.denominator
-    return mpc(mp.cospi(x), mp.sinpi(x))
+    return mp.expjpi(mpf(t.numerator) / t.denominator)
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):

@@ -23,6 +23,10 @@ from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
 ORACLE_LIMIT = 5000
+# the recurrence refuses larger n: on one vCPU of a Xeon VM a cold p_exact took
+# 3.7 s at 10^5 and had not finished after 300 s at 10^6 (its table, about
+# 0.3 n^1.5 bytes, then held 290 MB)
+_MAX_N = 10**5
 
 
 class PentagonalPair(NamedTuple):
@@ -86,7 +90,8 @@ class PartitionCache:
         return f"PartitionCache(max_n={self.max_n})"
 
     def extend_to(self, n: int) -> None:
-        """Run the pentagonal recurrence until p(n) is in the table.
+        """Run the pentagonal recurrence until p(n) is in the table; n above
+        ``_MAX_N`` = 10^5 is refused.
 
         While p(m) is computed the table holds p(0..m-1), so p(m - w) is
         the entry at index -w.  The offsets w <= m change only when m
@@ -94,6 +99,8 @@ class PartitionCache:
         between two of them reuses one getter per sign and costs two
         C-level sums, with no Python bytecode per term.
         """
+        if n > _MAX_N:
+            raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
         vals = self._values
         m = len(vals)
         if n < m:

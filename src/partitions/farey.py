@@ -3,9 +3,9 @@
 Everything here is exact rational arithmetic (``fractions.Fraction``);
 floating point enters only in :func:`arc_length_bound_check`, where pi does.
 
-F_N is built iteratively from F_1 = [0/1, 1/1] by mediant insertion: going
-from order N-1 to order N, the mediant (a+c)/(b+d) is inserted between
-every adjacent pair a/b < c/d with b + d = N.  Adjacent entries always
+F_N is generated in one ascending pass by the next-term rule: it starts
+0/1, 1/N, and if a/b < c/d are adjacent in F_N, the term after c/d is
+(tc - a)/(td - b) with t = floor((N + b)/d).  Adjacent entries always
 satisfy bc - ad = 1.
 
 The Ford circle C(h,k) has center (h/k, 1/(2k^2)) and radius 1/(2k^2);
@@ -73,18 +73,15 @@ class WChord:
 
 
 def farey_sequence(order: int) -> list[Fraction]:
-    """F_order by iterated mediant insertion starting from [0/1, 1/1]."""
+    """F_order in ascending order, by the next-term rule from 0/1, 1/order."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    seq = [Fraction(0), Fraction(1)]
-    for step in range(2, order + 1):
-        grown = []
-        for left, right in zip(seq, seq[1:]):
-            grown.append(left)
-            if left.denominator + right.denominator == step:
-                grown.append(Fraction(left.numerator + right.numerator, step))
-        grown.append(seq[-1])
-        seq = grown
+    a, b, c, d = 0, 1, 1, order
+    seq = [Fraction(0)]
+    while c <= d:
+        t = (order + b) // d
+        a, b, c, d = c, d, t * c - a, t * d - b
+        seq.append(Fraction(a, b))
     return seq
 
 
@@ -122,7 +119,10 @@ def ford_tangency_class(c1: FordCircle, c2: FordCircle) -> str:
     raise ValueError("overlapping circles: inputs are not reduced fractions")
 
 
-def _require_consecutive(prev: Fraction, mid: Fraction, nxt: Fraction) -> None:
+def _consecutive(prev, mid, nxt) -> tuple[Fraction, int, int, int]:
+    """``mid`` as a Fraction and the denominators k1, k, k2 of the triple,
+    which must be consecutive in some Farey sequence."""
+    prev, mid, nxt = Fraction(prev), Fraction(mid), Fraction(nxt)
     d1 = prev.denominator * mid.numerator - prev.numerator * mid.denominator
     d2 = mid.denominator * nxt.numerator - mid.numerator * nxt.denominator
     if d1 != 1 or d2 != 1:
@@ -130,15 +130,12 @@ def _require_consecutive(prev: Fraction, mid: Fraction, nxt: Fraction) -> None:
             f"{prev} < {mid} < {nxt} is not a consecutive Farey triple "
             f"(adjacent determinants {d1}, {d2})"
         )
+    return mid, prev.denominator, mid.denominator, nxt.denominator
 
 
 def tangency_points(prev, mid, nxt) -> TangencyPair:
     """Tangency points of C(mid) with the circles of its two neighbours."""
-    prev, mid, nxt = Fraction(prev), Fraction(mid), Fraction(nxt)
-    _require_consecutive(prev, mid, nxt)
-    k = mid.denominator
-    k1 = prev.denominator
-    k2 = nxt.denominator
+    mid, k1, k, k2 = _consecutive(prev, mid, nxt)
     alpha1 = QPoint(mid - Fraction(k1, k * (k * k + k1 * k1)), Fraction(1, k * k + k1 * k1))
     alpha2 = QPoint(mid + Fraction(k2, k * (k * k + k2 * k2)), Fraction(1, k * k + k2 * k2))
     return TangencyPair(mid, alpha1, alpha2, k1, k2)
@@ -166,13 +163,9 @@ def rademacher_path(order: int) -> list[TangencyPair]:
 
 def w_chord(prev, mid, nxt, order: int) -> WChord:
     """Images of the tangency points under w = -i k^2 (tau - h/k)."""
-    prev, mid, nxt = Fraction(prev), Fraction(mid), Fraction(nxt)
-    _require_consecutive(prev, mid, nxt)
+    _, k1, k, k2 = _consecutive(prev, mid, nxt)
     if order < 1:
         raise ValueError("order must be a positive integer")
-    k = mid.denominator
-    k1 = prev.denominator
-    k2 = nxt.denominator
     w1 = QPoint(Fraction(k * k, k * k + k1 * k1), Fraction(k * k1, k * k + k1 * k1))
     w2 = QPoint(Fraction(k * k, k * k + k2 * k2), Fraction(-k * k2, k * k + k2 * k2))
     return WChord(w1, w2, k, k1, k2, order)

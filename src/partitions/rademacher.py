@@ -101,7 +101,7 @@ _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 _ROUND_UP = 1 + 2.0**-32
 # the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
 _FLOAT_BITS = 51
-# p_series refuses larger n: one vCPU of a Xeon VM took 18 s at 10^9 and 148 s at 10^10
+# the series functions refuse larger n: one vCPU of a Xeon VM took 18 s at 10^9 and 148 s at 10^10
 _MAX_N = 10**9
 
 
@@ -141,10 +141,18 @@ def _alpha_float(n: int) -> float:
     return math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
 
 
-def default_precision(n: int) -> int:
-    """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
+def _check_n(n: int) -> None:
+    """Refuse n outside 1..``_MAX_N``, the one range of n that every series
+    function serves (the float bounds overflow from n ~ 10^308)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > _MAX_N:
+        raise ValueError(f"n must be at most {_MAX_N} for the series")
+
+
+def default_precision(n: int) -> int:
+    """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
+    _check_n(n)
     return max(64, math.ceil(_alpha_float(n) / math.log(2)) + 64)
 
 
@@ -199,8 +207,9 @@ def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | 
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n), its A_k(n) weight and its error bound,
     computed at the width of ``ctx``."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive integers")
+    _check_n(n)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     a, p = _alpha_p(n, ctx)
     roots = selberg_roots(k, n)
     return _term(k, roots, a, p, ctx.bits + GUARD_BITS, _log_c(k, len(roots), float(a) / k, float(p)))
@@ -208,8 +217,15 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    if n < 1 or n_terms < 1:
-        raise ValueError("n and N must be positive integers")
+    _check_n(n)
+    if n_terms < 1:
+        raise ValueError("N must be a positive integer")
+    return _truncation_bound(n, n_terms)
+
+
+def _truncation_bound(n: int, n_terms: int) -> float:
+    """:func:`truncation_bound` without the checks, for the search in
+    :func:`terms_needed`, which checks n once."""
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * math.sqrt(3) * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -223,8 +239,9 @@ def truncation_bound(n: int, n_terms: int) -> float:
 
 def terms_needed(n: int) -> int:
     """The smallest N with truncation_bound(n, N) < 1/4."""
+    _check_n(n)
     n_terms = 1
-    while truncation_bound(n, n_terms) >= 0.25:
+    while _truncation_bound(n, n_terms) >= 0.25:
         n_terms += 1
     return n_terms
 
@@ -243,12 +260,10 @@ def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
     Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
-    ``default_precision(n)`` bits (which rejects n < 1); each term runs at
-    the fewest bits whose bound fits B = (1/4 - T)/(2N), in floats when
-    their bound does.  n above ``_MAX_N`` = 10^9 is refused.
+    ``default_precision(n)`` bits (which refuses n outside 1..``_MAX_N`` =
+    10^9); each term runs at the fewest bits whose bound fits
+    B = (1/4 - T)/(2N), in floats when their bound does.
     """
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N} for the series")
     bits = default_precision(n)
     n_terms = terms_needed(n)
     ctx = PrecisionContext(bits)

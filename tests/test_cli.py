@@ -1,12 +1,16 @@
 import hashlib
 import json
 import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from partitions import cli
 from partitions.exact import cache_load
 from partitions.rademacher import p_series
+
+RESIDUES_PATH = Path(__file__).with_name("partition_residues.json")
 
 
 def run(argv, capsys):
@@ -69,6 +73,20 @@ def test_series_json_report(capsys):
     assert payload["terms"][0]["k"] == 1
     # the leading weight is A_1(n) = 1
     assert float(payload["terms"][0]["a_k"]) == 1.0
+
+
+def test_series_prints_past_the_int_str_limit(capsys):
+    # p(17782794) has 4690 digits, past Python's default limit of 4300 on
+    # int-to-str conversion; the CLI lifts the limit only while it formats
+    row, = [r for r in json.loads(RESIDUES_PATH.read_text()) if r["n"] == 17782794]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(["series", "17782794"], capsys)
+    assert code == 0, err
+    residue = 0
+    for digit in json.loads(out)["rounded"]:
+        residue = (residue * 10 + int(digit)) % 2**64
+    assert residue == row["mod_2_64"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_series_deterministic(capsys):
@@ -319,6 +337,7 @@ GOLDEN = [
     ("--format json exact 7", 0, '{"n": 7, "p": "15"}\n'),
     ("exact 200", 0, "3972999029388\n"),
     ("exact -1", 2, ""),
+    ("exact 10000000", 2, ""),
     ("series 7", 0, "sha256:adfc3e528176f45732623f4826760ff110ce0bc50f4d3f28606c3aa5bac546e4"),
     ("series 200", 0, "sha256:4309960366f79a02a7cc6b0ad864fc50431d03017bbd6a15b30b5f8ccf853070"),
     ("series 7 --terms 3 --prec 80", 2, ""),
@@ -333,11 +352,13 @@ GOLDEN = [
     ("--format json asym 50", 0, "sha256:6043f317bb1bcdfe4a5101e768aa960bc3c21ad751f8a4fda5595c060b1fb1bc"),
     ("asym 10 --prec 200", 2, ""),
     ("asym 0", 2, ""),
+    ("asym 100001", 2, ""),
     ("asym 10 --prec 63", 2, ""),
     ("table --list 10,50", 0, "sha256:9cfe6279df077050afa2adefb65264110729f577893e9873701b4a907ce68757"),
     ("table --list 0", 2, ""),
     ("table --list 10,x", 2, ""),
     ("table --list ,", 2, ""),
+    ("table --list 10,100001", 2, ""),
     ("farey 5", 0, "sha256:ce66ff621bd90642197142ee34d0161550970f3ff79a79e7ae3df8919b62e00a"),
     ("farey 0", 2, ""),
     ("ford 5", 0, "sha256:9fa359ea8ae254da61c880072142f4d22b5224ec862c318baf483359791b5fa2"),

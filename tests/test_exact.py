@@ -105,6 +105,23 @@ def test_negative_rejected():
         p_exact(-1)
 
 
+def test_ceiling_refused_before_any_work():
+    cache = PartitionCache()
+    for call in (lambda: cache.extend_to(10**5 + 1), lambda: p_exact(10**7, cache)):
+        with pytest.raises(ValueError, match="at most 100000"):
+            call()
+    assert cache.max_n == 0
+
+
+def test_ceiling_is_inclusive(monkeypatch):
+    monkeypatch.setattr("partitions.exact._MAX_N", 50)
+    cache = PartitionCache()
+    assert p_exact(50, cache) == P_ORACLE[50]
+    with pytest.raises(ValueError, match="at most 50"):
+        cache.extend_to(51)
+    assert cache.max_n == 50
+
+
 def test_monotonic():
     cache = PartitionCache()
     p_exact(500, cache)

@@ -9,6 +9,7 @@ from partitions.farey import (
     QPoint,
     arc_length_bound_check,
     chord_bounds_check,
+    contour_triples,
     farey_neighbors_check,
     farey_sequence,
     ford_circle,
@@ -23,6 +24,23 @@ F = Fraction
 
 def brute_force_farey(order):
     return sorted({F(h, k) for k in range(1, order + 1) for h in range(k + 1)})
+
+
+def mediant_insertion(max_order):
+    """F_1, ..., F_max_order by the paper's construction: F_N is F_(N-1) with
+    the mediant (a+c)/(b+d) inserted between every adjacent pair a/b < c/d
+    with b + d = N."""
+    seq = [F(0), F(1)]
+    yield seq
+    for order in range(2, max_order + 1):
+        grown = []
+        for left, right in zip(seq, seq[1:]):
+            grown.append(left)
+            if left.denominator + right.denominator == order:
+                grown.append(F(left.numerator + right.numerator, order))
+        grown.append(seq[-1])
+        seq = grown
+        yield seq
 
 
 def euler_phi(n):
@@ -44,6 +62,18 @@ def test_farey_first_orders():
 
 def test_farey_order_10_count():
     assert len(farey_sequence(10)) == 33
+
+
+def test_farey_matches_mediant_insertion():
+    for order, expected in enumerate(mediant_insertion(200), start=1):
+        assert farey_sequence(order) == expected
+
+
+def test_contour_triples_end_at_extended_fraction():
+    for order in (1, 2, 5, 37):
+        triples = contour_triples(order)
+        assert len(triples) == len(farey_sequence(order)) - 1
+        assert triples[-1][1:] == (F(1), F(order + 1, order))
 
 
 def test_farey_matches_brute_force():

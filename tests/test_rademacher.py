@@ -379,3 +379,25 @@ def test_p_series_matches_reference_residues(row):
 def test_p_series_ceiling(n):
     with pytest.raises(ValueError, match="at most 1000000000"):
         p_series(n)
+
+
+# the four share p_series' range check instead of failing in float arithmetic
+# (OverflowError, "math domain error") for n around 10^400
+N_CHECKED = {
+    "default_precision": default_precision,
+    "r_k": lambda n: r_k(n, 1),
+    "truncation_bound": lambda n: truncation_bound(n, 1),
+    "terms_needed": terms_needed,
+}
+
+
+@pytest.mark.parametrize("n,message", [
+    (0, "n must be a positive integer"),
+    (-3, "n must be a positive integer"),
+    (10**9 + 1, "n must be at most 1000000000 for the series"),
+    (10**400, "n must be at most 1000000000 for the series"),
+], ids=["0", "-3", "1e9+1", "1e400"])
+@pytest.mark.parametrize("name", list(N_CHECKED))
+def test_series_functions_check_n(name, n, message):
+    with pytest.raises(ValueError, match=message):
+        N_CHECKED[name](n)
