@@ -16,17 +16,15 @@ policies contain no randomness.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .exact import PartitionCache, cache_load, cache_save, p_exact
 
-# The mpmath-backed modules are imported inside the handlers that use them,
-# so `partitions exact N` never pays for importing mpmath.
+# The mpmath-backed modules, json and fractions are imported inside the
+# handlers that use them, so `partitions exact N` never pays for them.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
 
@@ -137,6 +135,8 @@ def _cmd_exact(args) -> int:
     with _cached(args.cache, args.n) as cache:
         value = p_exact(args.n, cache)
     if args.format == "json":
+        import json
+
         print(json.dumps({"n": args.n, "p": str(value)}))
     elif args.format == "csv":
         print("n,p_n")
@@ -147,6 +147,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    import json
+
     from mpmath import mp
 
     from .rademacher import CertificationError, p_series
@@ -183,6 +185,8 @@ def _cmd_asym(args) -> int:
     with _cached(args.cache, args.n) as cache:
         row = relative_error_table([args.n], cache)[0]
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "n": row.n,
             "p": str(row.p_n),
@@ -263,6 +267,8 @@ def _cmd_ak(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
+    from fractions import Fraction
+
     from mpmath import mp
 
     from .bessel import bessel_i_3_2_closed, bessel_i_series

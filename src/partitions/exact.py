@@ -172,41 +172,56 @@ def cache_save(cache: PartitionCache, path) -> None:
         raise
 
 
+def _line_error(path, lineno: int, raw: str) -> CacheFormatError:
+    """The error for a cache line that failed :func:`cache_load`'s fast test:
+    the first of its checks, in order, that the line fails."""
+    if not raw.endswith("\n"):
+        return CacheFormatError(f"{path}: line {lineno}: truncated (no line end)")
+    line = raw.strip()
+    if not line or line.count(",") != 1:
+        return CacheFormatError(f"{path}: line {lineno}: expected 'n,p(n)'")
+    left, right = line.split(",")
+    try:
+        n, v = int(left), int(right)
+    except ValueError:
+        return CacheFormatError(f"{path}: line {lineno}: malformed integer")
+    expected = lineno - 1
+    if n > expected:
+        return CacheFormatError(
+            f"{path}: line {lineno}: gap in n (expected {expected}, found {n})"
+        )
+    if n < expected:
+        return CacheFormatError(
+            f"{path}: line {lineno}: n out of order (expected {expected}, found {n})"
+        )
+    return CacheFormatError(f"{path}: line {lineno}: p(n) must be positive")
+
+
 def cache_load(path, upto: int | None = None) -> PartitionCache:
     """Read a cache file, validating order, contiguity and integer syntax.
 
     With ``upto``, only the lines for p(0..upto) are read (at least line 0),
     so damage further on goes unseen; a result with ``max_n < upto`` means
     the whole file was read.
+
+    Each line gets one combined test; only a line that fails it is checked
+    again, step by step, by :func:`_line_error` for the message.
     """
     values = []
+    append = values.append
     stop = None if upto is None else max(upto, 0) + 1
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(itertools.islice(fh, stop), start=1):
-            if not raw.endswith("\n"):
-                raise CacheFormatError(f"{path}: line {lineno}: truncated (no line end)")
-            line = raw.strip()
-            if not line or line.count(",") != 1:
-                raise CacheFormatError(f"{path}: line {lineno}: expected 'n,p(n)'")
-            left, right = line.split(",")
+        for expected, raw in enumerate(itertools.islice(fh, stop)):
+            # a second comma ends up in ``right`` and a missing one leaves it
+            # empty, so int() refuses both
+            left, _, right = raw.partition(",")
             try:
                 n, v = int(left), int(right)
             except ValueError:
-                raise CacheFormatError(
-                    f"{path}: line {lineno}: malformed integer"
-                ) from None
-            expected = lineno - 1
-            if n > expected:
-                raise CacheFormatError(
-                    f"{path}: line {lineno}: gap in n (expected {expected}, found {n})"
-                )
-            if n < expected:
-                raise CacheFormatError(
-                    f"{path}: line {lineno}: n out of order (expected {expected}, found {n})"
-                )
-            if v < 1:
-                raise CacheFormatError(f"{path}: line {lineno}: p(n) must be positive")
-            values.append(v)
+                n = None
+            if n != expected or v < 1 or raw[-1] != "\n":
+                raise _line_error(path, expected + 1, raw)
+            append(v)
     if not values:
         raise CacheFormatError(f"{path}: empty cache file")
     if values[0] != 1:

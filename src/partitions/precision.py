@@ -1,12 +1,14 @@
 """Precision bookkeeping for high-precision floating evaluation.
 
-All floating work runs on mpmath.  A :class:`PrecisionContext` pins the
-working precision in bits; functions returning floating values compute
-inside ``with ctx.workprec():``.  mpmath values are immutable and keep the
+A :class:`PrecisionContext` governs the mpmath work: it pins the working
+precision in bits; functions returning mpmath values compute inside
+``with ctx.workprec():``.  mpmath values are immutable and keep the
 precision they were computed at, so results can be mixed freely afterwards
 (comparisons and follow-up arithmetic should run inside a context of their
 own if they need more than the ambient precision).  mpmath is imported
 inside the methods, so modules that only need the type stay mpmath-free.
+The series terms that run in hardware floats use :mod:`math` and need no
+context.
 """
 
 from __future__ import annotations

@@ -361,8 +361,10 @@ GOLDEN = [
     ("table --list 10,100001", 2, ""),
     ("farey 5", 0, "sha256:ce66ff621bd90642197142ee34d0161550970f3ff79a79e7ae3df8919b62e00a"),
     ("farey 0", 2, ""),
+    ("farey 1001", 2, ""),
     ("ford 5", 0, "sha256:9fa359ea8ae254da61c880072142f4d22b5224ec862c318baf483359791b5fa2"),
     ("ford 0", 2, ""),
+    ("ford 1001", 2, ""),
     ("dedekind 5 7", 0, "-1/14\n"),
     ("dedekind 1 0", 2, ""),
     ("ak 6 4", 0, "-1.9696155060244161187\n"),

@@ -327,6 +327,50 @@ def test_cache_load_upto_ignores_damage_past_it(tmp_path, damage, message):
         assert cache_load(path, upto=upto) == PartitionCache(P_ORACLE[: upto + 1])
 
 
+# damage to the line for p(n), as (new lines for it, message after "line L: ");
+# "truncated" also ends the file there
+LINE_DAMAGE = {
+    "truncated": (lambda n: [f"{n},{P_ORACLE[n]}"], lambda n: "truncated (no line end)"),
+    "blank": (lambda n: ["\n"], lambda n: "expected 'n,p(n)'"),
+    "three_fields": (lambda n: [f"{n},{P_ORACLE[n]},1\n"], lambda n: "expected 'n,p(n)'"),
+    "bad_n": (lambda n: [f"x{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
+    "bad_value": (lambda n: [f"{n},{P_ORACLE[n]}.5\n"], lambda n: "malformed integer"),
+    "gap": (lambda n: [], lambda n: f"gap in n (expected {n}, found {n + 1})"),
+    "repeated_n": (
+        lambda n: [f"{n - 1},{P_ORACLE[n]}\n"],
+        lambda n: f"n out of order (expected {n}, found {n - 1})",
+    ),
+    "zero": (lambda n: [f"{n},0\n"], lambda n: "p(n) must be positive"),
+    "negative": (lambda n: [f"{n},-{P_ORACLE[n]}\n"], lambda n: "p(n) must be positive"),
+}
+
+
+@pytest.mark.parametrize("n", [0, 5, 10], ids=["first", "middle", "last_read"])
+@pytest.mark.parametrize("kind", LINE_DAMAGE)
+def test_cache_load_messages(tmp_path, kind, n):
+    damage, message = LINE_DAMAGE[kind]
+    lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
+    lines[n:n + 1] = damage(n)
+    if kind == "truncated":
+        del lines[n + 1:]
+    path = tmp_path / "p.csv"
+    path.write_text("".join(lines), newline="")
+    # reading through p(10) reads 11 lines, so n = 10 is on the last line read
+    with pytest.raises(CacheFormatError) as info:
+        cache_load(path, upto=10)
+    assert str(info.value) == f"{path}: line {n + 1}: {message(n)}"
+    if n:
+        assert cache_load(path, upto=n - 1) == PartitionCache(P_ORACLE[:n])
+
+
+def test_cache_load_accepts_spaces_and_crlf(tmp_path):
+    path = tmp_path / "p.csv"
+    text = "".join(f" {m} ,\t{P_ORACLE[m]} \r\n" for m in range(21))
+    path.write_text(text, newline="")
+    assert cache_load(path) == cache_load(path, upto=30) == PartitionCache(P_ORACLE[:21])
+    assert cache_load(path, upto=7) == PartitionCache(P_ORACLE[:8])
+
+
 def test_cache_load_upto_past_end_and_none(tmp_path):
     path = tmp_path / "p.csv"
     cache = PartitionCache(P_ORACLE[:21])

@@ -94,6 +94,35 @@ def test_farey_rejects_bad_order():
         farey_sequence(0)
 
 
+def test_ceiling_refused_before_any_work(capsys):
+    # |F_N| ~ 3N^2/pi^2: any of these would run for hours if it were not refused
+    for call in (
+        lambda: farey_sequence(1001),
+        lambda: farey_sequence(10**12),
+        lambda: contour_triples(10**12),
+        lambda: rademacher_path(10**12),
+    ):
+        with pytest.raises(ValueError, match="at most 1000"):
+            call()
+    for command in ("farey", "ford"):
+        assert cli.main([command, str(10**12)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "at most 1000" in err
+
+
+def test_ceiling_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr("partitions.farey._MAX_ORDER", 5)
+    assert farey_sequence(5) == brute_force_farey(5)
+    assert len(contour_triples(5)) == len(rademacher_path(5)) == 10
+    for call in (lambda: farey_sequence(6), lambda: contour_triples(6)):
+        with pytest.raises(ValueError, match="at most 5"):
+            call()
+    assert cli.main(["ford", "5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["ford", "6"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @given(st.integers(min_value=1, max_value=30))
 @settings(max_examples=20, deadline=None)
 def test_farey_random_orders(order):

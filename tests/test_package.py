@@ -72,3 +72,21 @@ def test_exact_cli_does_not_import_mpmath():
     out = _run(script)
     assert out.startswith("5604\n1/18\nh,k\n0,1\n1,5\n")
     assert "\nh,k,k1,k2,w1_re,w1_im,w2_re,w2_im\n" in out
+
+
+def test_plain_exact_cli_imports_no_json_or_fractions(tmp_path):
+    # plain `exact` output, with or without a cache hit, needs neither json
+    # nor fractions (which pulls in decimal); only --format json loads json
+    cache = tmp_path / "p.csv"
+    script = (
+        "import sys\n"
+        "import partitions.cli\n"
+        f"for argv in (['exact', '30'], ['--cache', {str(cache)!r}, 'exact', '30'],"
+        f" ['--cache', {str(cache)!r}, 'exact', '20']):\n"
+        "    assert partitions.cli.main(argv) == 0\n"
+        "    loaded = [m for m in ('json', 'fractions', 'decimal', 'mpmath') if m in sys.modules]\n"
+        "    assert not loaded, (argv, loaded)\n"
+        "assert partitions.cli.main(['--format', 'json', 'exact', '30']) == 0\n"
+    )
+    out = _run(script)
+    assert out == '5604\n5604\n627\n{"n": 30, "p": "5604"}\n'
