@@ -31,7 +31,7 @@ _EXPORTS = {
     "asymptotics": "TABLE_NS AsymptoticRow display_eps leading_term "
                    "relative_error_table tail_ratio_bound zeta_three_halves",
     "bessel": "bessel_i_3_2_closed bessel_i_series",
-    "dedekind": "a_k dedekind_sum reciprocity_defect selberg_roots",
+    "dedekind": "a_k dedekind_sum reciprocity_defect selberg_roots selberg_sum",
     "eta": "EtaCheckReport conjugate_inverse eta exp_i_pi_rational generating_function "
            "verify_eta verify_f_transform",
     "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "

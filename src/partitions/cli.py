@@ -58,7 +58,8 @@ def _unlimited_int_str():
     """No limit on int-to-decimal conversion inside the block, and the
     interpreter's limit (4300 digits by default, since Python 3.10.7)
     again after it: the series report prints p(n) and mpf terms of more
-    digits from n ~ 1.6e7."""
+    digits from n ~ 1.6e7, and mp.nstr of a tiny value at a --prec above
+    about 14300 bits converts a mantissa of more digits."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -262,7 +263,9 @@ def _cmd_ak(args) -> int:
     from .dedekind import a_k
     from .precision import PrecisionContext
 
-    print(mp.nstr(a_k(args.k, args.n, PrecisionContext(args.prec)), 20))
+    value = a_k(args.k, args.n, PrecisionContext(args.prec))
+    with _unlimited_int_str():
+        print(mp.nstr(value, 20))
     return 0
 
 
@@ -280,9 +283,10 @@ def _cmd_bessel(args) -> int:
     closed = bessel_i_3_2_closed(x, ctx)
     with ctx.workprec():
         diff = abs(series - closed)
-    print(f"series = {mp.nstr(series, 30)}")
-    print(f"closed = {mp.nstr(closed, 30)}")
-    print(f"abs_diff = {mp.nstr(diff, 5)}")
+    with _unlimited_int_str():
+        print(f"series = {mp.nstr(series, 30)}")
+        print(f"closed = {mp.nstr(closed, 30)}")
+        print(f"abs_diff = {mp.nstr(diff, 5)}")
     return 0
 
 
@@ -348,16 +352,17 @@ def _cmd_verify(args) -> int:
         )
     failures = 0
     worst = mpf(0)
-    for label, residual in checks:
-        ok = residual < tolerance
-        failures += 0 if ok else 1
-        worst = max(worst, residual)
-        print(f"{label}: residual = {mp.nstr(residual, 5)} [{'ok' if ok else 'FAIL'}]")
-    print(
-        f"{args.samples} cases, worst residual {mp.nstr(worst, 5)}, "
-        f"tolerance {mp.nstr(tolerance, 5)}: "
-        f"{'all ok' if failures == 0 else f'{failures} FAILED'}"
-    )
+    with _unlimited_int_str():  # spans the checks too: each line is printed as its check ends
+        for label, residual in checks:
+            ok = residual < tolerance
+            failures += 0 if ok else 1
+            worst = max(worst, residual)
+            print(f"{label}: residual = {mp.nstr(residual, 5)} [{'ok' if ok else 'FAIL'}]")
+        print(
+            f"{args.samples} cases, worst residual {mp.nstr(worst, 5)}, "
+            f"tolerance {mp.nstr(tolerance, 5)}: "
+            f"{'all ok' if failures == 0 else f'{failures} FAILED'}"
+        )
     return 0 if failures == 0 else 1
 
 

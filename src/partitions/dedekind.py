@@ -21,8 +21,10 @@ It is computed by Selberg's formula (proved by Whiteman, Pacific J. Math.
     A_k(n) = sqrt(k/3) * sum (-1)^l cos(pi (6l+1)/(6k)),
 
 the sum over 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
-(:func:`selberg_roots`) takes integer arithmetic only, and on average about two of them satisfy the
-congruence, so a term costs a couple of cosines instead of phi(k)/2.
+(:func:`selberg_roots`) takes integer arithmetic only, and on average about
+two of them satisfy the congruence, so a term costs a couple of cosines
+instead of phi(k)/2.  :func:`selberg_sum` turns the roots into A_k(n); it
+is the one evaluator behind both :func:`a_k` and the series' terms.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ import math
 from fractions import Fraction
 
 from .precision import DEFAULT_CONTEXT, PrecisionContext
+
+# selberg_roots refuses larger k: its scan of 2k residues took 2-3 s at
+# k = 10^7 on a 2-vCPU VM, and the series needs k <= 10364 (n <= 10^9)
+_MAX_K = 10**7
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -72,23 +78,32 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         raise ValueError("k must be a positive integer")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    from mpmath import mp, mpf  # here, so exact Dedekind sums never load mpmath
+    from mpmath import mp  # here, so exact Dedekind sums never load mpmath
 
     with ctx.workprec():
-        if k <= 2:
-            return mpf(-1 if k == 2 and n % 2 else 1)
-        total = mpf(0)
-        for l in selberg_roots(k, n):
-            c = mp.cospi(mpf(6 * l + 1) / (6 * k))
-            total += -c if l % 2 else c
-        return mp.sqrt(mpf(k) / 3) * total
+        return selberg_sum(k, selberg_roots(k, n), mp)
+
+
+def selberg_sum(k: int, roots: list[int], lib) -> float | mpf:
+    """A_k(n) from ``roots`` = ``selberg_roots(k, n)``, in ``lib``: :mod:`math`
+    (floats) or mpmath's ``mp`` at its working precision.  The error model of
+    :mod:`partitions.rademacher` counts exactly these operations."""
+    if k <= 2:
+        # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
+        return (float if lib is math else lib.mpf)(-1 if roots[0] else 1)
+    return lib.sqrt(k) / lib.sqrt(3) * lib.fsum(
+        lib.cos(lib.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
+    )
 
 
 def selberg_roots(k: int, n: int) -> list[int]:
     """The l in [0, 2k) with l(3l+1)/2 = -n (mod k), ascending: the
-    summation indices of Selberg's formula for A_k(n)."""
+    summation indices of Selberg's formula for A_k(n); k above ``_MAX_K``
+    = 10^7 is refused."""
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if k > _MAX_K:
+        raise ValueError(f"k must be at most {_MAX_K}")
     roots = []
     residue = n % k  # l(3l+1)/2 + n mod k, for l = 0, 1, ...
     for l in range(2 * k):

@@ -41,11 +41,11 @@ are off by at most 1.02 and 1.09 eps.  With S the number of l in Selberg's
 sum, to first order in eps:
 
 * A_k = (sqrt(k)/sqrt(3)) sum (-1)^l cos(pi (6l+1)/(6k)) for k >= 3, and
-  A_1 = 1, A_2 = (-1)^n exactly.  The cosine argument (< 2 pi) is rounded
-  three times (pi, the product, the quotient), so each summand is off by
-  (6 pi + 1) eps; fsum rounds the sum once, by at most S eps; sqrt(k),
-  sqrt(3), the quotient and the product add 4 eps relatively.  With
-  |A_k| <= S sqrt(k/3) (true for k <= 2 too),
+  A_1 = 1, A_2 = (-1)^n exactly, by :func:`partitions.dedekind.selberg_sum`.
+  The cosine argument (< 2 pi) is rounded three times (pi, the product, the
+  quotient), so each summand is off by (6 pi + 1) eps; fsum rounds the sum
+  once, by at most S eps; sqrt(k), sqrt(3), the quotient and the product
+  add 4 eps relatively.  With |A_k| <= S sqrt(k/3) (true for k <= 2 too),
   |computed A_k - A_k| <= eps S sqrt(k/3)(6 pi + 6).
 * u = a/k is off by 2.1 eps, so e^u by (1 + 2.1u) eps relatively and u -+ 1
   by (3.1u + 1) eps absolutely.  The factor u cosh u - sinh u is computed
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .dedekind import selberg_roots
+from .dedekind import selberg_roots, selberg_sum
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
 _LEHMER_C1 = 44 * math.pi**2 / (225 * math.sqrt(3))
@@ -189,13 +189,7 @@ def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | 
     lib, real = (math, float) if bits is None else (mp, mpf)
     with nullcontext() if bits is None else mp.workprec(bits):
         a, p, root_k = real(a), real(p), lib.sqrt(k)
-        if k <= 2:
-            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
-            weight = real(-1 if roots[0] else 1)
-        else:
-            weight = root_k / lib.sqrt(3) * lib.fsum(
-                lib.cos(lib.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
-            )
+        weight = selberg_sum(k, roots, lib)
         u = a / k
         x = lib.exp(u)
         value = p * root_k * weight * ((u - 1) * x + (u + 1) / x) / 2

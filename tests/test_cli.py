@@ -89,6 +89,19 @@ def test_series_prints_past_the_int_str_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
+def test_ak_prints_past_the_int_str_limit(capsys):
+    # A_25(24) = 0, and at 16000 bits the computed value is a tiny mpf whose
+    # mantissa has more than 4300 digits; the limit is lifted only to print it
+    from mpmath import mpf
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(["ak", "25", "24", "--prec", "16000"], capsys)
+    assert code == 0, err
+    value, = out.split()
+    assert abs(mpf(value)) < mpf(2) ** -1000
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
 def test_series_deterministic(capsys):
     code1, out1, _ = run(["series", "42"], capsys)
     code2, out2, _ = run(["series", "42"], capsys)
@@ -372,6 +385,7 @@ GOLDEN = [
     ("ak 0 5", 2, ""),
     ("ak 5 0", 2, ""),
     ("ak 1 5 --prec 63", 2, ""),
+    ("ak 10000001 1", 2, ""),
     ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
     ("bessel 2.5 --prec 100", 0, "sha256:b0bf8d2b0d5fa50d90e7c147f323450421d1ce098ee0ff9db9a84aee1393587a"),
     ("bessel 0", 2, ""),

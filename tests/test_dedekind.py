@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
-from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect, selberg_roots
+from partitions import cli
+from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect, selberg_roots, selberg_sum
 from partitions.precision import PrecisionContext
+from partitions.rademacher import r_k
 
 CTX = PrecisionContext(128)
 
@@ -125,6 +127,33 @@ def test_selberg_roots_solve_the_congruence():
         selberg_roots(0, 5)
 
 
+def test_k_ceiling_refused_before_any_work(capsys):
+    # the scan of 2k residues would run for days at k = 10^12 if it were not refused
+    for call in (
+        lambda: selberg_roots(10**7 + 1, 1),
+        lambda: selberg_roots(10**12, 1),
+        lambda: a_k(10**12, 1, CTX),
+        lambda: r_k(5, 10**12),
+    ):
+        with pytest.raises(ValueError, match="at most 10000000"):
+            call()
+    assert cli.main(["ak", str(10**12), "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 10000000" in err
+
+
+def test_k_ceiling_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr("partitions.dedekind._MAX_K", 5)
+    assert selberg_roots(5, 7) == _selberg_roots(5, 7)
+    for call in (lambda: selberg_roots(6, 7), lambda: a_k(6, 7, CTX), lambda: r_k(7, 6)):
+        with pytest.raises(ValueError, match="at most 5"):
+            call()
+    assert cli.main(["ak", "5", "7"]) == 0
+    capsys.readouterr()
+    assert cli.main(["ak", "6", "7"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_a_k_bound():
     slack = mpf(2) ** -64
     for k in range(1, 41):
@@ -162,6 +191,23 @@ def test_a_k_selberg_matches_h_sum_every_k_to_120():
     for k in range(1, 121):
         for n in (1, 2, 47, 1000, 123457):
             _check_against_h_sum(k, n)
+
+
+def test_series_a_k_within_its_error_model_in_both_tiers():
+    # selberg_sum in floats (eps = 2^-50) and in mpmath at 64 bits (eps = 2^-63)
+    # against the definition, within the A_k term of rademacher.py's error
+    # model, eps S sqrt(k/3) (6 pi + 6), plus the 200-bit reference's own error
+    for k in range(1, 121):
+        for n in (1, 2, 47, 1000, 123457):
+            roots = selberg_roots(k, n)
+            in_floats = selberg_sum(k, roots, math)
+            with mp.workprec(64):
+                in_mp = selberg_sum(k, roots, mp)
+            with SELBERG_CTX.workprec():
+                exact = _a_k_h_sum(k, n)
+                model = len(roots) * mp.sqrt(mpf(k) / 3) * (6 * mp.pi + 6)
+                assert abs(in_floats - exact) <= 2.0**-50 * model + SELBERG_TOL, (k, n)
+                assert abs(in_mp - exact) <= mpf(2) ** -63 * model + SELBERG_TOL, (k, n)
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=10**6))
