@@ -21,10 +21,11 @@ It is computed by Selberg's formula (proved by Whiteman, Pacific J. Math.
     A_k(n) = sqrt(k/3) * sum (-1)^l cos(pi (6l+1)/(6k)),
 
 the sum over 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
-(:func:`selberg_roots`) takes integer arithmetic only, and on average about
-two of them satisfy the congruence, so a term costs a couple of cosines
-instead of phi(k)/2.  :func:`selberg_sum` turns the roots into A_k(n); it
-is the one evaluator behind both :func:`a_k` and the series' terms.
+(:func:`selberg_roots`, one pass over k residues) takes integer arithmetic
+only, and on average about two of them satisfy the congruence, so a term
+costs a couple of cosines instead of phi(k)/2.  :func:`selberg_sum` turns
+the roots into A_k(n); it is the one evaluator behind both :func:`a_k` and
+the series' terms.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 
-# selberg_roots refuses larger k: its scan of 2k residues took 2-3 s at
-# k = 10^7 on a 2-vCPU VM, and the series needs k <= 10364 (n <= 10^9)
+# selberg_roots refuses larger k: its scan of k residues took 0.6 s at
+# k = 10^7 on one vCPU of a Xeon VM, and the series needs k <= 10364 (n <= 10^9)
 _MAX_K = 10**7
 
 
@@ -81,33 +82,46 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     from mpmath import mp  # here, so exact Dedekind sums never load mpmath
 
     with ctx.workprec():
-        return selberg_sum(k, selberg_roots(k, n), mp)
+        return selberg_sum(k, selberg_roots(k, n), mp.sqrt(k), mp)
 
 
-def selberg_sum(k: int, roots: list[int], lib) -> float | mpf:
-    """A_k(n) from ``roots`` = ``selberg_roots(k, n)``, in ``lib``: :mod:`math`
-    (floats) or mpmath's ``mp`` at its working precision.  The error model of
-    :mod:`partitions.rademacher` counts exactly these operations."""
+def selberg_sum(k: int, roots: list[int], root_k: float | mpf, lib) -> float | mpf:
+    """A_k(n) from ``roots`` = ``selberg_roots(k, n)`` and ``root_k`` =
+    ``lib.sqrt(k)``, in ``lib``: :mod:`math` (floats) or mpmath's ``mp`` at
+    its working precision.  The error model of :mod:`partitions.rademacher`
+    counts exactly these operations."""
     if k <= 2:
         # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
         return (float if lib is math else lib.mpf)(-1 if roots[0] else 1)
-    return lib.sqrt(k) / lib.sqrt(3) * lib.fsum(
-        lib.cos(lib.pi * (6 * l + 1) / (6 * k)) * (-1 if l % 2 else 1) for l in roots
-    )
+    pi = +lib.pi
+    summands = []
+    for l in roots:
+        c = lib.cos(pi * (6 * l + 1) / (6 * k))
+        summands.append(-c if l % 2 else c)
+    return root_k / lib.sqrt(3) * lib.fsum(summands)
 
 
 def selberg_roots(k: int, n: int) -> list[int]:
     """The l in [0, 2k) with l(3l+1)/2 = -n (mod k), ascending: the
     summation indices of Selberg's formula for A_k(n); k above ``_MAX_K``
-    = 10^7 is refused."""
+    = 10^7 is refused.
+
+    One pass over l in [0, k) finds them all: with f(l) = l(3l+1)/2 + n,
+    f(l + k) = f(l) + k(3k+1)/2, which is f(l) + k/2 (mod k) for even k
+    and f(l) (mod k) for odd k.  So l + k is a root exactly when f(l) is
+    k/2 (even k) or 0 (odd k) mod k.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}")
-    roots = []
-    residue = n % k  # l(3l+1)/2 + n mod k, for l = 0, 1, ...
-    for l in range(2 * k):
+    low, high = [], []
+    shift = k // 2 if k % 2 == 0 else 0  # f(l + k) - f(l) mod k
+    residue = n % k  # f(l) mod k, for l = 0, 1, ...
+    for l in range(k):
         if residue == 0:
-            roots.append(l)
+            low.append(l)
+        if residue == shift:
+            high.append(l + k)
         residue = (residue + 3 * l + 2) % k
-    return roots
+    return low + high

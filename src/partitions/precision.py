@@ -23,6 +23,10 @@ GUARD_BITS = 16
 # series stop once a term drops below 2^-(bits + TAIL_GUARD_BITS)
 TAIL_GUARD_BITS = 8
 
+# the widest context, so that a --prec runs for a bounded time; the series'
+# widest, default_precision(10^9) + 8, is 117,098 bits
+MAX_BITS = 2**17
+
 
 @dataclass(frozen=True)
 class PrecisionContext:
@@ -33,6 +37,8 @@ class PrecisionContext:
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError(f"precision must be at least 64 bits, got {self.bits}")
+        if self.bits > MAX_BITS:
+            raise ValueError(f"precision must be at most {MAX_BITS} bits, got {self.bits}")
 
     def workprec(self):
         """mpmath context manager running at ``bits + GUARD_BITS`` precision."""

@@ -23,7 +23,9 @@ For n = 1, |A_k| <= k and u cosh u - sinh u <= (u^3/3) cosh u give
 |R_k(1)| <= pi^2/(9 sqrt 3) k^(-3/2) cosh(a/k), so T = 2 pi^2/(9 sqrt 3)
 N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
-and is +inf where sinh would overflow (it is then far above 1/4).
+and is +inf where sinh would overflow (it is then far above 1/4).  N is at
+least 20: below it the first term of Lehmer's T alone is at least 0.2556,
+and T(1, N) is larger still, so the search for N starts at 20.
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
 which runs the same statements in hardware floats (:mod:`math`) or in
@@ -61,11 +63,13 @@ bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms.
 C_k is evaluated in log space, as e^u overflows a float for the head terms
 from n ~ 7.7e4, and E_k is rounded up and raised to at least e^-700.
 
-The sum.  Every term enters mp.fsum exactly: an mpf term has at most the
-full width p bits, and a float is a dyadic rational.  mp.fsum forms the sum
-S exactly (it drops only a term over 2p bits below its last bit) and rounds
-once, by less than 2 eps |S| with eps = 2^(1-p).  So E = the sum of the term
-bounds + 2 eps |S|, added by math.fsum and rounded up.
+The sum.  Every term enters mp.fsum exactly.  An mpf term has at most the
+full width p bits.  The float terms enter as one mpf, their exact sum: each
+is m 2^e with a 53-bit integer m, and the m are added as one integer at the
+smallest e, so nothing is rounded.  mp.fsum forms the sum S exactly (it
+drops only a term over 2p bits below its last bit) and rounds once, by less
+than 2 eps |S| with eps = 2^(1-p).  So E = the sum of the term bounds
++ 2 eps |S|, added by math.fsum and rounded up.
 
 Routing.  Term k runs at the fewest bits p_k = ceil(2 + log2(C_k/B)) with
 eps C_k <= B/2, B = (1/4 - T)/(2N) being its share of the slack and the
@@ -73,7 +77,10 @@ factor 2 a margin for the floating evaluation of E_k.  Floats count as 51
 bits: the term runs in floats if p_k <= 51 and u <= 700, else in mpmath at
 max(p_k, 51) bits, capped at the full width.  B is a share of the slack,
 not a fixed size, because the slack can be small: 3.3e-7 at n = 13312 and
-3.8e-9 at n = 184570.
+3.8e-9 at n = 184570.  A term with no Selberg roots has A_k = 0 exactly,
+so C_k = 0; for u <= 700 :func:`p_series` writes down what the float
+evaluator returns for it (0.0, 0.0 and the floor e^-700, rounded up)
+without running it.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
@@ -90,7 +97,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .dedekind import selberg_roots, selberg_sum
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
@@ -101,8 +108,13 @@ _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 _ROUND_UP = 1 + 2.0**-32
 # the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
 _FLOAT_BITS = 51
-# the series functions refuse larger n: one vCPU of a Xeon VM took 18 s at 10^9 and 148 s at 10^10
+# the series functions refuse larger n: one vCPU of a Xeon VM took 5 s at 10^9, and
+# default_precision(10^10) is 370,130 bits, above precision.MAX_BITS
 _MAX_N = 10**9
+# the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
+_ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
+# where terms_needed starts: T(n, N) >= 1/4 for every N below it (see above)
+_FEWEST_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -189,7 +201,7 @@ def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | 
     lib, real = (math, float) if bits is None else (mp, mpf)
     with nullcontext() if bits is None else mp.workprec(bits):
         a, p, root_k = real(a), real(p), lib.sqrt(k)
-        weight = selberg_sum(k, roots, lib)
+        weight = selberg_sum(k, roots, root_k, lib)
         u = a / k
         x = lib.exp(u)
         value = p * root_k * weight * ((u - 1) * x + (u + 1) / x) / 2
@@ -234,7 +246,7 @@ def _truncation_bound(n: int, n_terms: int) -> float:
 def terms_needed(n: int) -> int:
     """The smallest N with truncation_bound(n, N) < 1/4."""
     _check_n(n)
-    n_terms = 1
+    n_terms = _FEWEST_TERMS
     while _truncation_bound(n, n_terms) >= 0.25:
         n_terms += 1
     return n_terms
@@ -248,6 +260,17 @@ def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | N
     if bits <= _FLOAT_BITS and u <= 700:
         return None
     return min(width, math.ceil(max(bits, _FLOAT_BITS)))
+
+
+def _exact_sum(values: list[float]) -> mpf:
+    """The sum of ``values``, exactly, as one mpf: each float is m 2^e with
+    a 53-bit integer m, and the m are added as one integer at the smallest e."""
+    parts = [math.frexp(x) for x in values if x]
+    if not parts:
+        return mpf(0)
+    low = min(e for _, e in parts)
+    man = sum(int(m * 2.0**53) << (e - low) for m, e in parts)
+    return mp.make_mpf(libmp.from_man_exp(man, low - 53))  # not mpf(...), which rounds
 
 
 def p_series(n: int) -> SeriesReport:
@@ -269,6 +292,9 @@ def p_series(n: int) -> SeriesReport:
     for k in range(1, n_terms + 1):
         roots = selberg_roots(k, n)
         u = a_float / k
+        if not roots and u <= 700:  # A_k = 0: what _term returns in floats, without running it
+            terms.append(SeriesTerm(k, 0.0, 0.0, _ZERO_TERM_BOUND))
+            continue
         log_c = _log_c(k, len(roots), u, p_float)
         term_bits = _term_bits(u, log_c, log_budget, bits + GUARD_BITS)
         if term_bits is None:  # a and P rounded to floats once per series, not once per term
@@ -276,7 +302,9 @@ def p_series(n: int) -> SeriesReport:
         else:
             terms.append(_term(k, roots, a, p, term_bits, log_c))
     with ctx.workprec():
-        total = mp.fsum(term.r_k for term in terms)
+        floats = [term.r_k for term in terms if type(term.r_k) is float]
+        wide = [term.r_k for term in terms if type(term.r_k) is not float]
+        total = mp.fsum([*wide, _exact_sum(floats)])
         rounded = int(mp.nint(total))
         gap = abs(total - rounded)
         # the one rounding of mp.fsum, 2 eps |S| with eps = 2^(1-p)

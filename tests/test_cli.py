@@ -386,6 +386,7 @@ GOLDEN = [
     ("ak 5 0", 2, ""),
     ("ak 1 5 --prec 63", 2, ""),
     ("ak 10000001 1", 2, ""),
+    ("ak 25 24 --prec 131073", 2, ""),
     ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
     ("bessel 2.5 --prec 100", 0, "sha256:b0bf8d2b0d5fa50d90e7c147f323450421d1ce098ee0ff9db9a84aee1393587a"),
     ("bessel 0", 2, ""),

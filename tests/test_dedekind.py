@@ -119,10 +119,17 @@ def test_a_k_input_validation():
 
 
 def test_selberg_roots_solve_the_congruence():
-    for k in range(1, 41):
-        for n in range(1, 31):
-            expected = [l for l in range(2 * k) if (l * (3 * l + 1) // 2 + n) % k == 0]
-            assert selberg_roots(k, n) == expected, (k, n)
+    # the one pass over [0, k) against the scan of [0, 2k): every residue of
+    # n mod k for k <= 60, both parities of k, and a few n for each k <= 300
+    for k in range(1, 301):
+        for n in range(1, k + 1) if k <= 60 else (1, 2, 47, 1000, 123457, 10**9):
+            assert selberg_roots(k, n) == _selberg_roots(k, n), (k, n)
+    # near 10^4 and 10^6, n chosen so that l = 3 or l = k + 7 is a root
+    for k in (9999, 10**4, 10364, 999_999, 10**6):
+        for root in (3, k + 7):
+            n = -(root * (3 * root + 1) // 2) % k or k
+            roots = selberg_roots(k, n)
+            assert root in roots and roots == _selberg_roots(k, n), (k, n)
     with pytest.raises(ValueError):
         selberg_roots(0, 5)
 
@@ -200,9 +207,9 @@ def test_series_a_k_within_its_error_model_in_both_tiers():
     for k in range(1, 121):
         for n in (1, 2, 47, 1000, 123457):
             roots = selberg_roots(k, n)
-            in_floats = selberg_sum(k, roots, math)
+            in_floats = selberg_sum(k, roots, math.sqrt(k), math)
             with mp.workprec(64):
-                in_mp = selberg_sum(k, roots, mp)
+                in_mp = selberg_sum(k, roots, mp.sqrt(k), mp)
             with SELBERG_CTX.workprec():
                 exact = _a_k_h_sum(k, n)
                 model = len(roots) * mp.sqrt(mpf(k) / 3) * (6 * mp.pi + 6)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from partitions.precision import DEFAULT_CONTEXT, PrecisionContext
+from partitions import rademacher
+from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext
 
 
 def test_bits_floor():
@@ -11,6 +12,18 @@ def test_bits_floor():
         PrecisionContext(63)
     assert PrecisionContext(64).bits == 64
     assert DEFAULT_CONTEXT.bits == 128
+
+
+def test_bits_ceiling():
+    assert PrecisionContext(MAX_BITS).bits == MAX_BITS == 2**17
+    with pytest.raises(ValueError, match="at most 131072 bits"):
+        PrecisionContext(MAX_BITS + 1)
+
+
+def test_series_fits_under_the_bits_ceiling():
+    # the widest context the series builds is _alpha_p's, 8 bits above
+    # default_precision; a higher series ceiling of n must fail here first
+    assert rademacher.default_precision(rademacher._MAX_N) + 8 <= MAX_BITS
 
 
 def test_workprec_scopes_precision():

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS
-from partitions.rademacher import _ROUND_UP, _alpha_p, _log_c, _term, _term_bits
+from partitions.rademacher import _FEWEST_TERMS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term, _term_bits
 
 CTX = PrecisionContext(128)
 
@@ -195,6 +197,12 @@ def test_terms_needed_large_n_does_not_overflow():
     assert terms_needed(10**5) < terms_needed(10**6) < 1000
 
 
+def test_fewer_than_twenty_terms_never_suffice():
+    # terms_needed starts its search at N = 20: below it T >= 1/4 for every n
+    for n in (1, 2, 3, 100, 10**4, 10**6, 10**9):
+        assert all(truncation_bound(n, n_terms) >= 0.25 for n_terms in range(1, _FEWEST_TERMS)), n
+
+
 def test_truncation_bound_validation():
     with pytest.raises(ValueError):
         truncation_bound(0, 1)
@@ -285,6 +293,61 @@ def test_head_term_at_64_bits_is_not_certified(monkeypatch):
     monkeypatch.setattr("partitions.rademacher._term_bits", head_at_64)
     with pytest.raises(CertificationError):
         p_series(10**6)
+
+
+def test_zero_weight_terms_are_the_float_evaluators():
+    # p_series skips the evaluator for A_k = 0 (no Selberg roots) and u <= 700;
+    # each such term must be bit for bit what _term returns for it in floats
+    skipped = 0
+    for n in (*range(1, 301), 6742, 13312, 184570, 999_999):
+        report = p_series(n)
+        a, p = _alpha_p(n, PrecisionContext(report.prec))
+        for term in report.terms:
+            u = float(a) / term.k
+            if u > 700 or selberg_roots(term.k, n):
+                continue
+            expected = _term(term.k, [], float(a), float(p), None, _log_c(term.k, 0, u, float(p)))
+            got = (type(term.a_k), term.a_k.hex(), type(term.r_k), term.r_k.hex(), term.bound)
+            assert got == (float, expected.a_k.hex(), float, expected.r_k.hex(), expected.bound), (n, term.k)
+            skipped += 1
+    assert skipped > 1000
+    # above u = 700, e^u is no float: a term with no roots stays with the mpmath evaluator
+    n = 10**7
+    assert not selberg_roots(7, n) and float(alpha(n, CTX)) / 7 > 700
+    term = p_series(n).terms[6]
+    assert (term.k, type(term.r_k), term.r_k) == (7, mpf, 0)
+
+
+def test_float_terms_are_summed_exactly():
+    # the float terms enter mp.fsum as one mpf, unrounded at any working precision
+    values = [1e300, -3.0, 2.0**-1074, 1 / 3, -0.0, 0.0, -1e-300, 5e-324]
+    with mp.workprec(53):
+        total = _exact_sum(values)
+    sign, man, exp, _ = total._mpf_
+    assert (-1) ** sign * man * Fraction(2) ** exp == sum(map(Fraction, values))
+    assert _exact_sum([]) == _exact_sum([0.0, -0.0]) == 0
+
+
+def _report_field(x):
+    """A float as float.hex, an mpf as its exact (sign, mantissa, exponent, bit count)."""
+    if isinstance(x, float):
+        return x.hex()
+    sign, man, exp, bc = x._mpf_
+    return f"({sign}, {man:#x}, {exp}, {bc})"
+
+
+def test_p_series_reports_are_pinned():
+    # every bit of every report: per term k, type, A_k, R_k and bound; per
+    # report prec, partial sum, rounded value, gap, N, T and E
+    digest = hashlib.sha256()
+    for n in (*range(1, 601), 6742, 7798, 13312, 184570, 10**5):
+        r = p_series(n)
+        for t in r.terms:
+            digest.update(f"{t.k} {type(t.r_k).__name__} {_report_field(t.a_k)} {_report_field(t.r_k)} "
+                          f"{t.bound.hex()}\n".encode())
+        digest.update(f"{n} {r.prec} {_report_field(r.partial_sum)} {r.rounded:#x} {_report_field(r.gap)} "
+                      f"{r.n_terms_used} {r.truncation_bound.hex()} {r.float_error_bound.hex()}\n".encode())
+    assert digest.hexdigest() == "299317f758b2f2eb4173a0c271d4e946c0423bb87be8665e1907a51814641e73"
 
 
 def test_report_error_budget():
