@@ -66,6 +66,12 @@ def display_eps(eps) -> str:
     return str(quantized)
 
 
+def error_table_csv(rows) -> str:
+    """``rows`` as n,p_n,L_n,eps_percent CSV lines, header first: the CLI's table."""
+    lines = [f"{r.n},{r.p_n},{mp.nstr(r.l_n, 20)},{display_eps(r.eps_percent)}" for r in rows]
+    return "\n".join(["n,p_n,L_n,eps_percent", *lines])
+
+
 def zeta_three_halves(ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """zeta(3/2) = 2.6123753486..., correct to the working precision of ``ctx``."""
     with ctx.workprec():

@@ -181,7 +181,7 @@ def _cmd_series(args) -> int:
 def _cmd_asym(args) -> int:
     from mpmath import mp
 
-    from .asymptotics import display_eps, relative_error_table
+    from .asymptotics import display_eps, error_table_csv, relative_error_table
 
     with _cached(args.cache, args.n) as cache:
         row = relative_error_table([args.n], cache)[0]
@@ -195,8 +195,7 @@ def _cmd_asym(args) -> int:
             "eps_percent": display_eps(row.eps_percent),
         }))
     elif args.format == "csv":
-        print("n,p_n,L_n,eps_percent")
-        print(f"{row.n},{row.p_n},{mp.nstr(row.l_n, 20)},{display_eps(row.eps_percent)}")
+        print(error_table_csv([row]))
     else:
         print(f"L({row.n}) = {mp.nstr(row.l_n, 20)}")
         print(f"eps_percent = {display_eps(row.eps_percent)}")
@@ -204,9 +203,7 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from mpmath import mp
-
-    from .asymptotics import TABLE_NS, display_eps, relative_error_table
+    from .asymptotics import TABLE_NS, error_table_csv, relative_error_table
 
     if args.table_set == "paper":
         ns = list(TABLE_NS)
@@ -219,9 +216,7 @@ def _cmd_table(args) -> int:
             raise ValueError("--list expects at least one integer")
     with _cached(args.cache, max(ns)) as cache:
         rows = relative_error_table(ns, cache)
-    print("n,p_n,L_n,eps_percent")
-    for row in rows:
-        print(f"{row.n},{row.p_n},{mp.nstr(row.l_n, 20)},{display_eps(row.eps_percent)}")
+    print(error_table_csv(rows))
     return 0
 
 

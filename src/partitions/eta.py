@@ -120,8 +120,6 @@ def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEX
     exp(2 pi i h / k); zero in exact arithmetic."""
     if k < 1 or not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
-    if math.gcd(h, k) != 1:
-        raise ValueError("h and k must be coprime")
     H = conjugate_inverse(h, k)
     with ctx.workprec():
         z = mpc(z)

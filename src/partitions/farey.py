@@ -158,8 +158,6 @@ def contour_triples(order: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     consists of exactly |F_order| - 1 arcs chained by shared tangency
     points.
     """
-    if order < 1:
-        raise ValueError("order must be a positive integer")
     extended = farey_sequence(order) + [Fraction(order + 1, order)]
     return list(zip(extended, extended[1:], extended[2:]))
 

@@ -7,8 +7,8 @@ precision they were computed at, so results can be mixed freely afterwards
 (comparisons and follow-up arithmetic should run inside a context of their
 own if they need more than the ambient precision).  mpmath is imported
 inside the methods, so modules that only need the type stay mpmath-free.
-The series terms that run in hardware floats use :mod:`math` and need no
-context.
+A context carries a caller's choice of precision (``--prec``, or a library
+caller's); the certified series sets its own width from n and needs none.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ GUARD_BITS = 16
 # series stop once a term drops below 2^-(bits + TAIL_GUARD_BITS)
 TAIL_GUARD_BITS = 8
 
-# the widest context, so that a --prec runs for a bounded time; the series'
-# widest, default_precision(10^9) + 8, is 117,098 bits
+# the widest context a caller may ask for, so that a --prec runs for a bounded time
 MAX_BITS = 2**17
 
 

@@ -108,8 +108,8 @@ _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 _ROUND_UP = 1 + 2.0**-32
 # the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
 _FLOAT_BITS = 51
-# the series functions refuse larger n: one vCPU of a Xeon VM took 5 s at 10^9, and
-# default_precision(10^10) is 370,130 bits, above precision.MAX_BITS
+# the series functions refuse larger n, for time: one vCPU of a Xeon VM took 4.6 s at
+# 10^9 (117,106 working bits), most of it in selberg_roots' O(k) scans
 _MAX_N = 10**9
 # the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
 _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
@@ -168,19 +168,23 @@ def default_precision(n: int) -> int:
     return max(64, math.ceil(_alpha_float(n) / math.log(2)) + 64)
 
 
+def _alpha_mp(n: int) -> mpf:
+    """alpha(n) at the ambient mpmath precision."""
+    return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
+
+
 def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """alpha(n) = pi sqrt((2/3)(n - 1/24)); positive, increasing in n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     with ctx.workprec():
-        return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
+        return _alpha_mp(n)
 
 
-def _alpha_p(n: int, ctx: PrecisionContext) -> tuple[mpf, mpf]:
-    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), 8 bits above the width of ``ctx``."""
-    ctx = PrecisionContext(ctx.bits + 8)
-    a = alpha(n, ctx)
-    with ctx.workprec():
+def _alpha_p(n: int, width: int) -> tuple[mpf, mpf]:
+    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), at ``width`` + 8 bits."""
+    with mp.workprec(width + 8):
+        a = _alpha_mp(n)
         return a, mp.pi**2 / (3 * mp.sqrt(3) * a**3)
 
 
@@ -214,11 +218,10 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n), its A_k(n) weight and its error bound,
     computed at the width of ``ctx``."""
     _check_n(n)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    a, p = _alpha_p(n, ctx)
-    roots = selberg_roots(k, n)
-    return _term(k, roots, a, p, ctx.bits + GUARD_BITS, _log_c(k, len(roots), float(a) / k, float(p)))
+    roots = selberg_roots(k, n)  # which refuses k outside 1..10^7
+    width = ctx.bits + GUARD_BITS
+    a, p = _alpha_p(n, width)
+    return _term(k, roots, a, p, width, _log_c(k, len(roots), float(a) / k, float(p)))
 
 
 def truncation_bound(n: int, n_terms: int) -> float:
@@ -230,8 +233,8 @@ def truncation_bound(n: int, n_terms: int) -> float:
 
 
 def _truncation_bound(n: int, n_terms: int) -> float:
-    """:func:`truncation_bound` without the checks, for the search in
-    :func:`terms_needed`, which checks n once."""
+    """:func:`truncation_bound` without the checks, for :func:`terms_needed`
+    and :func:`p_series`, which check n once."""
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * math.sqrt(3) * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -276,17 +279,17 @@ def _exact_sum(values: list[float]) -> mpf:
 def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
-    Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at
-    ``default_precision(n)`` bits (which refuses n outside 1..``_MAX_N`` =
-    10^9); each term runs at the fewest bits whose bound fits
-    B = (1/4 - T)/(2N), in floats when their bound does.
+    Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at a
+    width of ``default_precision(n)`` + ``GUARD_BITS`` bits (which refuses n
+    outside 1..``_MAX_N`` = 10^9); each term runs at the fewest bits whose
+    bound fits B = (1/4 - T)/(2N), in floats when their bound does.
     """
     bits = default_precision(n)
+    width = bits + GUARD_BITS
     n_terms = terms_needed(n)
-    ctx = PrecisionContext(bits)
-    t = truncation_bound(n, n_terms)
+    t = _truncation_bound(n, n_terms)
     log_budget = math.log((0.25 - t) / (2 * n_terms))
-    a, p = _alpha_p(n, ctx)
+    a, p = _alpha_p(n, width)
     a_float, p_float = float(a), float(p)
     terms = []
     for k in range(1, n_terms + 1):
@@ -296,19 +299,19 @@ def p_series(n: int) -> SeriesReport:
             terms.append(SeriesTerm(k, 0.0, 0.0, _ZERO_TERM_BOUND))
             continue
         log_c = _log_c(k, len(roots), u, p_float)
-        term_bits = _term_bits(u, log_c, log_budget, bits + GUARD_BITS)
+        term_bits = _term_bits(u, log_c, log_budget, width)
         if term_bits is None:  # a and P rounded to floats once per series, not once per term
             terms.append(_term(k, roots, a_float, p_float, None, log_c))
         else:
             terms.append(_term(k, roots, a, p, term_bits, log_c))
-    with ctx.workprec():
+    with mp.workprec(width):
         floats = [term.r_k for term in terms if type(term.r_k) is float]
         wide = [term.r_k for term in terms if type(term.r_k) is not float]
         total = mp.fsum([*wide, _exact_sum(floats)])
         rounded = int(mp.nint(total))
         gap = abs(total - rounded)
         # the one rounding of mp.fsum, 2 eps |S| with eps = 2^(1-p)
-        sum_rounding = float(mp.ldexp(abs(total), 2 - bits - GUARD_BITS))
+        sum_rounding = float(mp.ldexp(abs(total), 2 - width))
     e = (math.fsum(term.bound for term in terms) + sum_rounding) * _ROUND_UP
     if not (t + e < 0.25 and t + e + gap < 0.5):
         raise CertificationError(

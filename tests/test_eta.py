@@ -202,7 +202,7 @@ def test_verify_f_transform_rejects_bad_inputs():
         verify_f_transform(1, 2, mpf(-1), CTX)
     with pytest.raises(ValueError):
         verify_f_transform(1, 2, mpc(0, 1), CTX)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coprime"):
         verify_f_transform(2, 4, mpf(1), CTX)
     with pytest.raises(ValueError):
         verify_f_transform(5, 3, mpf(1), CTX)

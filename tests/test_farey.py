@@ -90,8 +90,9 @@ def test_farey_phi_increment():
 
 
 def test_farey_rejects_bad_order():
-    with pytest.raises(ValueError):
-        farey_sequence(0)
+    for call in (farey_sequence, contour_triples, rademacher_path):
+        with pytest.raises(ValueError, match="positive integer"):
+            call(0)
 
 
 def test_ceiling_refused_before_any_work(capsys):

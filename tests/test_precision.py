@@ -20,10 +20,19 @@ def test_bits_ceiling():
         PrecisionContext(MAX_BITS + 1)
 
 
-def test_series_fits_under_the_bits_ceiling():
-    # the widest context the series builds is _alpha_p's, 8 bits above
-    # default_precision; a higher series ceiling of n must fail here first
-    assert rademacher.default_precision(rademacher._MAX_N) + 8 <= MAX_BITS
+def test_the_bits_ceiling_bounds_only_the_callers_choice(monkeypatch):
+    # r_k works above the caller's widest context: its own guard bits are not a context
+    term = rademacher.r_k(5, 1, PrecisionContext(MAX_BITS))
+    reference = rademacher.r_k(5, 1, DEFAULT_CONTEXT)
+    with mp.workprec(200):
+        assert abs(term.r_k - reference.r_k) <= term.bound + reference.bound
+    # the series sets its own width from n, wider here than the ceiling, and still certifies
+    monkeypatch.setattr("partitions.precision.MAX_BITS", 1024)
+    assert rademacher.default_precision(10**5) > 1024
+    with pytest.raises(ValueError, match="at most 1024 bits"):
+        PrecisionContext(1025)
+    # p(10^5) mod 2^64, from tests/partition_residues.json
+    assert rademacher.p_series(10**5).rounded % 2**64 == 1552493300098067991
 
 
 def test_workprec_scopes_precision():

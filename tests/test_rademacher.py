@@ -241,7 +241,7 @@ def test_float_terms_within_their_bounds():
     for n in (7, 1000, 13312, 184570, 10**5):
         report = p_series(n)
         ctx2 = PrecisionContext(2 * report.prec)
-        a, p = _alpha_p(n, PrecisionContext(report.prec))
+        a, p = _alpha_p(n, report.prec + GUARD_BITS)
         budget = (0.25 - report.truncation_bound) / (2 * report.n_terms_used)
         for term in report.terms:
             k = term.k
@@ -301,7 +301,7 @@ def test_zero_weight_terms_are_the_float_evaluators():
     skipped = 0
     for n in (*range(1, 301), 6742, 13312, 184570, 999_999):
         report = p_series(n)
-        a, p = _alpha_p(n, PrecisionContext(report.prec))
+        a, p = _alpha_p(n, report.prec + GUARD_BITS)
         for term in report.terms:
             u = float(a) / term.k
             if u > 700 or selberg_roots(term.k, n):
@@ -464,3 +464,9 @@ N_CHECKED = {
 def test_series_functions_check_n(name, n, message):
     with pytest.raises(ValueError, match=message):
         N_CHECKED[name](n)
+
+
+def test_r_k_checks_k():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            r_k(5, k)
