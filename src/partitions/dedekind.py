@@ -21,11 +21,14 @@ It is computed by Selberg's formula (proved by Whiteman, Pacific J. Math.
     A_k(n) = sqrt(k/3) * sum (-1)^l cos(pi (6l+1)/(6k)),
 
 the sum over 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
-(:func:`selberg_roots`, one pass over k residues) takes integer arithmetic
-only, and on average about two of them satisfy the congruence, so a term
-costs a couple of cosines instead of phi(k)/2.  :func:`selberg_sum` turns
-the roots into A_k(n); it is the one evaluator behind both :func:`a_k` and
-the series' terms.
+(:func:`selberg_roots`) takes integer arithmetic only, and on average about
+two of them satisfy the congruence, so a term costs a couple of cosines
+instead of phi(k)/2.  The roots depend on n only through n mod k, so for
+k <= ``_TABLE_K`` they are read from a per-k table of every residue, built
+on first use; above it one pass over k residues finds them.
+:func:`selberg_sum` turns the roots into A_k(n), in floats or with
+mpmath's ``libmp`` primitives at a given width; it is the one evaluator
+behind both :func:`a_k` and the series' terms.
 """
 
 from __future__ import annotations
@@ -33,11 +36,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext
 
-# selberg_roots refuses larger k: its scan of k residues took 0.6 s at
-# k = 10^7 on one vCPU of a Xeon VM, and the series needs k <= 10364 (n <= 10^9)
+# selberg_roots refuses larger k: above _TABLE_K it scans k residues, which took
+# 0.6 s at k = 10^7 on one vCPU of a Xeon VM; the series needs k <= 10364 (n <= 10^9)
 _MAX_K = 10**7
+# selberg_roots reads k <= _TABLE_K from tables: they serve every term of
+# p_series(n) for n <= 5e4 (N = 125) and hold about 0.7 MB in all
+_TABLE_K = 128
+# -l(3l+1)/2 for l in [0, 2 _TABLE_K): mod k, the n mod k whose table entry holds l
+_NEG_PENTAGONAL = [-(l * (3 * l + 1) // 2) for l in range(2 * _TABLE_K)]
+# k -> its table: entry r lists the l in [0, 2k) with l(3l+1)/2 = -r (mod k), ascending
+_root_tables: dict[int, list[list[int]]] = {}
+_ROOT3 = math.sqrt(3)  # sqrt(3) in floats, for selberg_sum's float tier
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -80,25 +91,43 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     if n < 1:
         raise ValueError("n must be a positive integer")
     from mpmath import mp  # here, so exact Dedekind sums never load mpmath
+    from mpmath.libmp import from_int, mpf_sqrt, round_nearest
 
-    with ctx.workprec():
-        return selberg_sum(k, selberg_roots(k, n), mp.sqrt(k), mp)
+    roots = selberg_roots(k, n)
+    bits = ctx.bits + GUARD_BITS
+    return mp.make_mpf(selberg_sum(k, roots, mpf_sqrt(from_int(k), bits, round_nearest), bits))
 
 
-def selberg_sum(k: int, roots: list[int], root_k: float | mpf, lib) -> float | mpf:
+def selberg_sum(k: int, roots: list[int], root_k: float | tuple, bits: int | None) -> float | tuple:
     """A_k(n) from ``roots`` = ``selberg_roots(k, n)`` and ``root_k`` =
-    ``lib.sqrt(k)``, in ``lib``: :mod:`math` (floats) or mpmath's ``mp`` at
-    its working precision.  The error model of :mod:`partitions.rademacher`
-    counts exactly these operations."""
+    sqrt(k): in floats (:mod:`math`) when ``bits`` is None, else as a raw
+    mpmath value (an ``_mpf_`` tuple, as are ``root_k`` and the result)
+    computed with ``mpmath.libmp`` at ``bits`` bits, rounding to nearest.
+    Both tiers run the same operations in the same order, which the error
+    model of :mod:`partitions.rademacher` counts."""
+    if bits is None:
+        if k <= 2:
+            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
+            return -1.0 if roots[0] else 1.0
+        pi = math.pi
+        summands = []
+        for l in roots:
+            c = math.cos(pi * (6 * l + 1) / (6 * k))
+            summands.append(-c if l % 2 else c)
+        return root_k / _ROOT3 * math.fsum(summands)
+    import mpmath.libmp as libmp  # here, so exact Dedekind sums never load mpmath
+
+    rnd = libmp.round_nearest
     if k <= 2:
-        # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
-        return (float if lib is math else lib.mpf)(-1 if roots[0] else 1)
-    pi = +lib.pi
+        return libmp.from_int(-1 if roots[0] else 1)
+    pi = libmp.mpf_pi(bits, rnd)
+    den = libmp.from_int(6 * k)
     summands = []
     for l in roots:
-        c = lib.cos(pi * (6 * l + 1) / (6 * k))
-        summands.append(-c if l % 2 else c)
-    return root_k / lib.sqrt(3) * lib.fsum(summands)
+        c = libmp.mpf_cos(libmp.mpf_div(libmp.mpf_mul_int(pi, 6 * l + 1, bits, rnd), den, bits, rnd), bits, rnd)
+        summands.append(libmp.mpf_neg(c) if l % 2 else c)  # exact: c has at most ``bits`` bits
+    root3 = libmp.mpf_sqrt(libmp.from_int(3), bits, rnd)
+    return libmp.mpf_mul(libmp.mpf_div(root_k, root3, bits, rnd), libmp.mpf_sum(summands, bits, rnd), bits, rnd)
 
 
 def selberg_roots(k: int, n: int) -> list[int]:
@@ -106,7 +135,9 @@ def selberg_roots(k: int, n: int) -> list[int]:
     summation indices of Selberg's formula for A_k(n); k above ``_MAX_K``
     = 10^7 is refused.
 
-    One pass over l in [0, k) finds them all: with f(l) = l(3l+1)/2 + n,
+    For k <= ``_TABLE_K`` = 128 they are a copy of entry n mod k of k's
+    table, which is built on first use.  Above it, one pass over l in
+    [0, k) finds them all: with f(l) = l(3l+1)/2 + n,
     f(l + k) = f(l) + k(3k+1)/2, which is f(l) + k/2 (mod k) for even k
     and f(l) (mod k) for odd k.  So l + k is a root exactly when f(l) is
     k/2 (even k) or 0 (odd k) mod k.
@@ -115,6 +146,13 @@ def selberg_roots(k: int, n: int) -> list[int]:
         raise ValueError("k must be a positive integer")
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}")
+    if k <= _TABLE_K:
+        table = _root_tables.get(k)
+        if table is None:
+            table = _root_tables[k] = [[] for _ in range(k)]
+            for l, residue in enumerate(_NEG_PENTAGONAL[:2 * k]):
+                table[residue % k].append(l)
+        return table[n % k][:]  # a copy, so that a caller cannot change the table
     low, high = [], []
     shift = k // 2 if k % 2 == 0 else 0  # f(l + k) - f(l) mod k
     residue = n % k  # f(l) mod k, for l = 0, 1, ...

@@ -25,18 +25,20 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).  N is at
 least 20: below it the first term of Lehmer's T alone is at least 0.2556,
-and T(1, N) is larger still, so the search for N starts at 20.
+and T(1, N) is larger still, so the search for N starts at 20; it doubles
+N and then bisects (:func:`terms_needed` says why that finds the smallest N).
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
-which runs the same statements in hardware floats (:mod:`math`) or in
-mpmath at a width of p bits, and returns the term with its own bound
-E_k = eps C_k.  Model: each operation used (arithmetic, sqrt, exp, cos, pi,
-the one rounding of fsum, and rounding a value to the term's width) is
-exact for its computed operands up to a relative eps.  In floats eps = 2^-50,
-a 4-ulp margin over the 1-ulp error glibc's libm documents for exp and cos
-(arithmetic and sqrt are correctly rounded, within 2^-53); at p bits
-eps = 2^(1-p), twice the correct-rounding bound.  Integers below 2^53 and
-2^p convert exactly, which covers 6l + 1 < 12k.  a and P are computed once,
+which runs the same statements in hardware floats (:mod:`math`) or on
+``mpmath.libmp`` at a width of p bits, rounding to nearest, and returns
+the term with its own bound E_k = eps C_k.  Model: each operation used
+(arithmetic, sqrt, exp, cos, pi, the one rounding of fsum, and rounding a
+value to the term's width) is exact for its computed operands up to a
+relative eps.  In floats eps = 2^-50, a 4-ulp margin over the 1-ulp error
+glibc's libm documents for exp and cos (arithmetic and sqrt are correctly
+rounded, within 2^-53); at p bits eps = 2^(1-p), twice the
+correct-rounding bound.  Integers below 2^53 and 2^p convert exactly,
+which covers 6l + 1 < 12k.  a and P are computed once,
 8 bits above the full width (off by 4.1 and 21 of that width's eps, under
 0.02 and 0.09 eps of any term) and rounded to each term's width, so they
 are off by at most 1.02 and 1.09 eps.  With S the number of l in Selberg's
@@ -63,13 +65,13 @@ bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms.
 C_k is evaluated in log space, as e^u overflows a float for the head terms
 from n ~ 7.7e4, and E_k is rounded up and raised to at least e^-700.
 
-The sum.  Every term enters mp.fsum exactly.  An mpf term has at most the
-full width p bits.  The float terms enter as one mpf, their exact sum: each
-is m 2^e with a 53-bit integer m, and the m are added as one integer at the
-smallest e, so nothing is rounded.  mp.fsum forms the sum S exactly (it
-drops only a term over 2p bits below its last bit) and rounds once, by less
-than 2 eps |S| with eps = 2^(1-p).  So E = the sum of the term bounds
-+ 2 eps |S|, added by math.fsum and rounded up.
+The sum.  Every term enters libmp's mpf_sum (what mp.fsum runs) exactly.
+An mpf term has at most the full width p bits.  The float terms enter as
+one mpf, their exact sum: each is m 2^e with a 53-bit integer m, and the m
+are added as one integer at the smallest e, so nothing is rounded.  mpf_sum
+forms the sum S exactly (it drops only a term over 2p bits below its last
+bit) and rounds once, by less than 2 eps |S| with eps = 2^(1-p).  So E =
+the sum of the term bounds + 2 eps |S|, added by math.fsum and rounded up.
 
 Routing.  Term k runs at the fewest bits p_k = ceil(2 + log2(C_k/B)) with
 eps C_k <= B/2, B = (1/4 - T)/(2N) being its share of the slack and the
@@ -94,15 +96,19 @@ it raises only if 1/4 - T < 2^-75, and there is no retry.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
-from mpmath import libmp, mp, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul,
+                          mpf_mul_int, mpf_nint, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
+                          normalize, round_nearest as _RND, to_float, to_int)
 
 from .dedekind import selberg_roots, selberg_sum
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
-_LEHMER_C1 = 44 * math.pi**2 / (225 * math.sqrt(3))
+_LN2 = math.log(2)
+_ROOT3 = math.sqrt(3)
+_LEHMER_C1 = 44 * math.pi**2 / (225 * _ROOT3)
 _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 # relative margin rounding the float-evaluated bounds upward
 _ROUND_UP = 1 + 2.0**-32
@@ -165,27 +171,32 @@ def _check_n(n: int) -> None:
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
     _check_n(n)
-    return max(64, math.ceil(_alpha_float(n) / math.log(2)) + 64)
+    return max(64, math.ceil(_alpha_float(n) / _LN2) + 64)
 
 
-def _alpha_mp(n: int) -> mpf:
-    """alpha(n) at the ambient mpmath precision."""
-    return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
+def _alpha_raw(n: int, bits: int) -> tuple:
+    """alpha(n) as a raw mpmath value (an ``_mpf_`` tuple), on
+    ``mpmath.libmp`` at ``bits`` bits, rounding to nearest."""
+    m = mpf_sub(from_int(n, bits, _RND), mpf_div(fone, from_int(24), bits, _RND), bits, _RND)  # n - 1/24
+    root = mpf_sqrt(mpf_div(mpf_mul_int(m, 2, bits, _RND), from_int(3), bits, _RND), bits, _RND)
+    return mpf_mul(mpf_pi(bits, _RND), root, bits, _RND)
 
 
 def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """alpha(n) = pi sqrt((2/3)(n - 1/24)); positive, increasing in n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    with ctx.workprec():
-        return _alpha_mp(n)
+    return mp.make_mpf(_alpha_raw(n, ctx.bits + GUARD_BITS))
 
 
 def _alpha_p(n: int, width: int) -> tuple[mpf, mpf]:
     """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), at ``width`` + 8 bits."""
-    with mp.workprec(width + 8):
-        a = _alpha_mp(n)
-        return a, mp.pi**2 / (3 * mp.sqrt(3) * a**3)
+    bits = width + 8
+    a = _alpha_raw(n, bits)
+    three_root3 = mpf_mul_int(mpf_sqrt(from_int(3), bits, _RND), 3, bits, _RND)
+    p = mpf_div(mpf_pow_int(mpf_pi(bits, _RND), 2, bits, _RND),
+                mpf_mul(three_root3, mpf_pow_int(a, 3, bits, _RND), bits, _RND), bits, _RND)
+    return mp.make_mpf(a), mp.make_mpf(p)
 
 
 def _log_c(k: int, s: int, u: float, p: float) -> float:
@@ -193,23 +204,38 @@ def _log_c(k: int, s: int, u: float, p: float) -> float:
     is off by at most E_k = eps C_k; -inf when S = 0, as A_k = 0 exactly."""
     if not s:
         return -math.inf
-    return u + math.log(2 * p * k * s * (1 + u) * (2.1 * u + 37) / math.sqrt(3))
+    return u + math.log(2 * p * k * s * (1 + u) * (2.1 * u + 37) / _ROOT3)
 
 
 def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | None,
           log_c: float) -> SeriesTerm:
     """Term k from Selberg's ``roots``, alpha = ``a`` and P = ``p``, rounded
     to floats and run in :mod:`math` when ``bits`` is None, else rounded to
-    ``bits`` and run in mpmath; and its bound E_k = eps C_k from log C_k =
-    ``log_c``, rounded up, +inf above e^700 and at least e^-700."""
-    lib, real = (math, float) if bits is None else (mp, mpf)
-    with nullcontext() if bits is None else mp.workprec(bits):
-        a, p, root_k = real(a), real(p), lib.sqrt(k)
-        weight = selberg_sum(k, roots, root_k, lib)
+    ``bits`` and run on ``mpmath.libmp`` at ``bits``, rounding to nearest
+    (the same statements in both tiers); and its bound E_k = eps C_k from
+    log C_k = ``log_c``, rounded up, +inf above e^700 and at least e^-700."""
+    if bits is None:
+        a, p = float(a), float(p)
+        root_k = math.sqrt(k)
+        weight = selberg_sum(k, roots, root_k, None)
         u = a / k
-        x = lib.exp(u)
-        value = p * root_k * weight * ((u - 1) * x + (u + 1) / x) / 2
-    log_bound = log_c + (1 - (bits or _FLOAT_BITS)) * math.log(2)
+        x = math.exp(u)
+        head = p * root_k * weight
+        low = (u - 1) * x
+        high = (u + 1) / x
+        value = head * (low + high) / 2
+    else:
+        a, p = normalize(*a._mpf_, bits, _RND), normalize(*p._mpf_, bits, _RND)
+        root_k = mpf_sqrt(from_int(k), bits, _RND)
+        weight = selberg_sum(k, roots, root_k, bits)
+        u = mpf_div(a, from_int(k), bits, _RND)
+        x = mpf_exp(u, bits, _RND)
+        head = mpf_mul(mpf_mul(p, root_k, bits, _RND), weight, bits, _RND)
+        low = mpf_mul(mpf_sub(u, fone, bits, _RND), x, bits, _RND)
+        high = mpf_div(mpf_add(u, fone, bits, _RND), x, bits, _RND)
+        value = mpf_div(mpf_mul(head, mpf_add(low, high, bits, _RND), bits, _RND), ftwo, bits, _RND)
+        weight, value = mp.make_mpf(weight), mp.make_mpf(value)
+    log_bound = log_c + (1 - (bits or _FLOAT_BITS)) * _LN2
     bound = math.inf if log_bound > 700 else math.exp(max(log_bound, -700)) * _ROUND_UP
     return SeriesTerm(k, weight, value, bound)
 
@@ -237,7 +263,7 @@ def _truncation_bound(n: int, n_terms: int) -> float:
     and :func:`p_series`, which check n once."""
     if n == 1:
         a = _alpha_float(1)
-        t = 2 * math.pi**2 / (9 * math.sqrt(3) * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
+        t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
     else:
         x = math.pi * math.sqrt(2 * n / 3) / n_terms
         if x > 700:
@@ -247,19 +273,39 @@ def _truncation_bound(n: int, n_terms: int) -> float:
 
 
 def terms_needed(n: int) -> int:
-    """The smallest N with truncation_bound(n, N) < 1/4."""
+    """The smallest N with truncation_bound(n, N) < 1/4, by doubling N from
+    20 and then bisecting.
+
+    Bisection needs the float-evaluated T(n, N) to fall with N.  Exactly,
+    a step from N to N + 1 multiplies T by at most sqrt(N/(N + 1)), which
+    is at most 1 - 1/(2N + 2): N^(-1/2) falls by that factor; so does
+    sqrt(N) sinh(x/N), whose logarithmic derivative in N is
+    1/(2N) - (y/N) coth y <= -1/(2N) with y = x/N, as y coth y >= 1; and
+    cosh(a/(N + 1)) falls.  Every N searched is below 2^15 (at most twice
+    the answer, and N = 10364 at n = 10^9), so the drop is at least 2^-16,
+    far above the few-ulp error of the float evaluation, and T is +inf
+    (sinh overflowing) only below some N.  So T(n, N) < 1/4 is false below
+    the answer and true from it on, and bisection finds the N that a
+    step-by-step search would.
+    """
     _check_n(n)
-    n_terms = _FEWEST_TERMS
-    while _truncation_bound(n, n_terms) >= 0.25:
-        n_terms += 1
-    return n_terms
+    low, high = _FEWEST_TERMS - 1, _FEWEST_TERMS  # T(n, low) >= 1/4 (see above)
+    while _truncation_bound(n, high) >= 0.25:
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _truncation_bound(n, middle) < 0.25:
+            high = middle
+        else:
+            low = middle
+    return high
 
 
 def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | None:
     """The fewest bits p with eps C_k <= B/2 for a term with u = a/k and
     log C_k = ``log_c``, B = e^``log_budget``: None (floats) if p <= 51 and
     u <= 700, else p for mpmath, at most ``width``."""
-    bits = 2 + (log_c - log_budget) / math.log(2)
+    bits = 2 + (log_c - log_budget) / _LN2
     if bits <= _FLOAT_BITS and u <= 700:
         return None
     return min(width, math.ceil(max(bits, _FLOAT_BITS)))
@@ -273,7 +319,7 @@ def _exact_sum(values: list[float]) -> mpf:
         return mpf(0)
     low = min(e for _, e in parts)
     man = sum(int(m * 2.0**53) << (e - low) for m, e in parts)
-    return mp.make_mpf(libmp.from_man_exp(man, low - 53))  # not mpf(...), which rounds
+    return mp.make_mpf(from_man_exp(man, low - 53))  # not mpf(...), which rounds
 
 
 def p_series(n: int) -> SeriesReport:
@@ -304,14 +350,14 @@ def p_series(n: int) -> SeriesReport:
             terms.append(_term(k, roots, a_float, p_float, None, log_c))
         else:
             terms.append(_term(k, roots, a, p, term_bits, log_c))
-    with mp.workprec(width):
-        floats = [term.r_k for term in terms if type(term.r_k) is float]
-        wide = [term.r_k for term in terms if type(term.r_k) is not float]
-        total = mp.fsum([*wide, _exact_sum(floats)])
-        rounded = int(mp.nint(total))
-        gap = abs(total - rounded)
-        # the one rounding of mp.fsum, 2 eps |S| with eps = 2^(1-p)
-        sum_rounding = float(mp.ldexp(abs(total), 2 - width))
+    floats = [term.r_k for term in terms if type(term.r_k) is float]
+    wide = [term.r_k._mpf_ for term in terms if type(term.r_k) is not float]
+    total = mpf_sum([*wide, _exact_sum(floats)._mpf_], width, _RND)
+    rounded = to_int(mpf_nint(total, width, _RND))
+    gap = mp.make_mpf(mpf_abs(mpf_sub(total, from_int(rounded), width, _RND), width, _RND))
+    # the one rounding of mpf_sum, 2 eps |S| with eps = 2^(1-p)
+    sum_rounding = to_float(mpf_shift(mpf_abs(total, width, _RND), 2 - width), rnd=_RND)
+    total = mp.make_mpf(total)
     e = (math.fsum(term.bound for term in terms) + sum_rounding) * _ROUND_UP
     if not (t + e < 0.25 and t + e + gap < 0.5):
         raise CertificationError(

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, mpf_sqrt, round_nearest
 
-from partitions import cli
-from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect, selberg_roots, selberg_sum
+from partitions import cli, dedekind
+from partitions.dedekind import _TABLE_K, a_k, dedekind_sum, reciprocity_defect, selberg_roots, selberg_sum
 from partitions.precision import PrecisionContext
-from partitions.rademacher import r_k
+from partitions.rademacher import p_series, r_k
 
 CTX = PrecisionContext(128)
 
@@ -134,6 +135,33 @@ def test_selberg_roots_solve_the_congruence():
         selberg_roots(0, 5)
 
 
+def test_selberg_root_tables_match_the_scan():
+    # the tables at every k <= _TABLE_K and every residue of n mod k, and the
+    # one pass above them at k = _TABLE_K + 1, against the scan of [0, 2k)
+    for k in range(1, _TABLE_K + 2):
+        for n in range(1, k + 1):
+            assert selberg_roots(k, n) == _selberg_roots(k, n), (k, n)
+            assert selberg_roots(k, n + 7 * k) == _selberg_roots(k, n), (k, n)
+
+
+def test_selberg_roots_cannot_change_a_table():
+    # a caller gets a copy: changing it leaves the next answer right
+    for k, n in ((25, 24), (1, 5), (_TABLE_K, 3), (_TABLE_K + 1, 3)):
+        roots = selberg_roots(k, n)
+        roots.append(7)
+        roots[0] = -1
+        assert selberg_roots(k, n) == selberg_roots(k, n + k) == _selberg_roots(k, n), (k, n)
+        selberg_roots(k, n).clear()
+        assert selberg_roots(k, n) == _selberg_roots(k, n), (k, n)
+
+
+def test_no_root_table_above_the_table_ceiling():
+    # p_series(10^7) needs N = 1250 terms: the tables stop at _TABLE_K, which
+    # bounds their memory whatever n is asked for
+    assert p_series(10**7).n_terms_used == 1250
+    assert set(dedekind._root_tables) == set(range(1, _TABLE_K + 1))
+
+
 def test_k_ceiling_refused_before_any_work(capsys):
     # the scan of 2k residues would run for days at k = 10^12 if it were not refused
     for call in (
@@ -201,15 +229,14 @@ def test_a_k_selberg_matches_h_sum_every_k_to_120():
 
 
 def test_series_a_k_within_its_error_model_in_both_tiers():
-    # selberg_sum in floats (eps = 2^-50) and in mpmath at 64 bits (eps = 2^-63)
+    # selberg_sum in floats (eps = 2^-50) and on mpmath.libmp at 64 bits (eps = 2^-63)
     # against the definition, within the A_k term of rademacher.py's error
     # model, eps S sqrt(k/3) (6 pi + 6), plus the 200-bit reference's own error
     for k in range(1, 121):
         for n in (1, 2, 47, 1000, 123457):
             roots = selberg_roots(k, n)
-            in_floats = selberg_sum(k, roots, math.sqrt(k), math)
-            with mp.workprec(64):
-                in_mp = selberg_sum(k, roots, mp.sqrt(k), mp)
+            in_floats = selberg_sum(k, roots, math.sqrt(k), None)
+            in_mp = mp.make_mpf(selberg_sum(k, roots, mpf_sqrt(from_int(k), 64, round_nearest), 64))
             with SELBERG_CTX.workprec():
                 exact = _a_k_h_sum(k, n)
                 model = len(roots) * mp.sqrt(mpf(k) / 3) * (6 * mp.pi + 6)

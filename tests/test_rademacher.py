@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
-from partitions.dedekind import a_k, selberg_roots
+from partitions.dedekind import a_k, selberg_roots, selberg_sum
 from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
 from partitions.rademacher import (
@@ -197,6 +198,22 @@ def test_terms_needed_large_n_does_not_overflow():
     assert terms_needed(10**5) < terms_needed(10**6) < 1000
 
 
+def _terms_needed_by_steps(n):
+    n_terms = 1
+    while truncation_bound(n, n_terms) >= 0.25:
+        n_terms += 1
+    return n_terms
+
+
+def test_terms_needed_bisects_to_the_step_by_step_answer():
+    # doubling and bisection against a walk over N = 1, 2, ...: every n up to
+    # 2e4 and a seeded log-uniform sample up to the ceiling of 10^9
+    rng = random.Random(1205_5991)
+    sample = [round(math.exp(rng.uniform(math.log(2e4), math.log(1e9)))) for _ in range(200)]
+    for n in (*range(1, 20_001), *sample, 10**9):
+        assert terms_needed(n) == _terms_needed_by_steps(n), n
+
+
 def test_fewer_than_twenty_terms_never_suffice():
     # terms_needed starts its search at N = 20: below it T >= 1/4 for every n
     for n in (1, 2, 3, 100, 10**4, 10**6, 10**9):
@@ -326,6 +343,85 @@ def test_float_terms_are_summed_exactly():
     sign, man, exp, _ = total._mpf_
     assert (-1) ** sign * man * Fraction(2) ** exp == sum(map(Fraction, values))
     assert _exact_sum([]) == _exact_sum([0.0, -0.0]) == 0
+
+
+# The mpmath-context evaluator that the libmp tier replaced, kept as its
+# oracle: mpf arithmetic at the ambient precision, rounding to nearest.
+def _selberg_sum_in_context(k, roots, root_k, lib):
+    if k <= 2:
+        return (float if lib is math else lib.mpf)(-1 if roots[0] else 1)
+    pi = +lib.pi
+    summands = []
+    for l in roots:
+        c = lib.cos(pi * (6 * l + 1) / (6 * k))
+        summands.append(-c if l % 2 else c)
+    return root_k / lib.sqrt(3) * lib.fsum(summands)
+
+
+def _term_in_context(k, roots, a, p, bits):
+    """A_k and R_k as _term computes them: in floats when ``bits`` is None,
+    else in mpmath at ``bits``."""
+    lib, real = (math, float) if bits is None else (mp, mpf)
+    with nullcontext() if bits is None else mp.workprec(bits):
+        a, p, root_k = real(a), real(p), lib.sqrt(k)
+        weight = _selberg_sum_in_context(k, roots, root_k, lib)
+        u = a / k
+        x = lib.exp(u)
+        return weight, p * root_k * weight * ((u - 1) * x + (u + 1) / x) / 2
+
+
+def _alpha_p_in_context(n, width):
+    with mp.workprec(width + 8):
+        a = mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
+        return a, mp.pi**2 / (3 * mp.sqrt(3) * a**3)
+
+
+def test_alpha_p_is_the_context_evaluator_bit_for_bit():
+    # and alpha(n, ctx), which runs at ctx.bits + GUARD_BITS, where _alpha_p adds 8 bits
+    for n in (1, 2, 7, 47, 1000, 13312, 184570, 999_999, 10**7, 10**9):
+        for width in (72, 100, 128, 1000, default_precision(n) + GUARD_BITS):
+            expected = _alpha_p_in_context(n, width)
+            assert tuple(x._mpf_ for x in _alpha_p(n, width)) == tuple(x._mpf_ for x in expected), (n, width)
+            ctx = PrecisionContext(width + 8 - GUARD_BITS)
+            assert alpha(n, ctx)._mpf_ == expected[0]._mpf_, (n, width)
+
+
+def test_libmp_tier_is_the_context_evaluator_bit_for_bit():
+    # _term and selberg_sum against the mpmath-context oracle, as _mpf_ tuples:
+    # k <= 2, a term with no roots and u > 700 (n = 10^7, k = 7), and widths
+    # from 52 bits up to the full width at 10^7; the float tier, as float.hex,
+    # against the same statements in math
+    assert not selberg_roots(7, 10**7) and float(_alpha_p(10**7, 64)[0]) / 7 > 700
+    for n in (1, 2, 47, 1000, 13312, 184570, 10**7):
+        width = default_precision(n) + GUARD_BITS
+        a, p = _alpha_p(n, width)
+        for k in (1, 2, 3, 7, 25, 49, 120, 129, 500):
+            roots = selberg_roots(k, n)
+            log_c = _log_c(k, len(roots), float(a) / k, float(p))
+            for bits in (52, 53, 64, 100, 128, 257, 1000, width):
+                term = _term(k, roots, a, p, bits, log_c)
+                weight, value = _term_in_context(k, roots, a, p, bits)
+                assert (term.a_k._mpf_, term.r_k._mpf_) == (weight._mpf_, value._mpf_), (n, k, bits)
+                with mp.workprec(bits):
+                    root_k = mp.sqrt(k)
+                    expected = _selberg_sum_in_context(k, roots, root_k, mp)
+                assert selberg_sum(k, roots, root_k._mpf_, bits) == expected._mpf_, (n, k, bits)
+            if float(a) / k <= 700:
+                term = _term(k, roots, a, p, None, log_c)
+                weight, value = _term_in_context(k, roots, a, p, None)
+                assert (term.a_k.hex(), term.r_k.hex()) == (weight.hex(), value.hex()), (n, k)
+                assert selberg_sum(k, roots, math.sqrt(k), None).hex() == weight.hex(), (n, k)
+
+
+def test_a_k_is_the_context_evaluator_bit_for_bit():
+    for bits in (64, 128, 4096):
+        ctx = PrecisionContext(bits)
+        for k in (*range(1, 41), 121, 128, 129, 500, 9999):
+            for n in (1, 2, 24, 47, 116, 1000, 123457):
+                with ctx.workprec():
+                    expected = _selberg_sum_in_context(k, selberg_roots(k, n), mp.sqrt(k), mp)
+                got = a_k(k, n, ctx)
+                assert type(got) is mpf and got._mpf_ == expected._mpf_, (bits, k, n)
 
 
 def _report_field(x):
