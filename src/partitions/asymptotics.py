@@ -11,8 +11,8 @@ to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -26,8 +26,7 @@ TABLE_NS = (
 )
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     n: int
     p_n: int
     l_n: mpf

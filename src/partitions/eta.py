@@ -36,8 +36,8 @@ correct one throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, mpmathify
 
@@ -77,8 +77,7 @@ def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
         return mp.expjpi(tau / 12) * mp.qp(mp.expjpi(2 * tau))
 
 
-@dataclass(frozen=True)
-class EtaCheckReport:
+class EtaCheckReport(NamedTuple):
     matrix: tuple[int, int, int, int]
     tau: mpc
     lhs: mpc

@@ -28,7 +28,6 @@ convergence of the series evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -54,8 +53,7 @@ class FordCircle(NamedTuple):
     radius: Fraction
 
 
-@dataclass(frozen=True)
-class TangencyPair:
+class TangencyPair(NamedTuple):
     """Tangency points of C(h,k) with its two Farey-neighbour circles."""
 
     frac: Fraction
@@ -65,8 +63,7 @@ class TangencyPair:
     right_k: int
 
 
-@dataclass(frozen=True)
-class WChord:
+class WChord(NamedTuple):
     """Chord endpoints in the w-plane for one consecutive triple of F_N."""
 
     w1: QPoint

@@ -9,11 +9,13 @@ own if they need more than the ambient precision).  mpmath is imported
 inside the methods, so modules that only need the type stay mpmath-free.
 A context carries a caller's choice of precision (``--prec``, or a library
 caller's); the certified series sets its own width from n and needs none.
+A context is a one-field named tuple that checks 64 <= bits <= ``MAX_BITS``
+on every construction path: the constructor, ``_make`` and ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # extra working bits inside evaluation loops, so accumulated rounding stays
@@ -27,17 +29,21 @@ TAIL_GUARD_BITS = 8
 MAX_BITS = 2**17
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(namedtuple("PrecisionContext", "bits")):
     """Evaluation context: precision in bits, nearest-even rounding."""
 
-    bits: int = 128
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < 64:
-            raise ValueError(f"precision must be at least 64 bits, got {self.bits}")
-        if self.bits > MAX_BITS:
-            raise ValueError(f"precision must be at most {MAX_BITS} bits, got {self.bits}")
+    def __new__(cls, bits: int = 128):
+        if bits < 64:
+            raise ValueError(f"precision must be at least 64 bits, got {bits}")
+        if bits > MAX_BITS:
+            raise ValueError(f"precision must be at most {MAX_BITS} bits, got {bits}")
+        return super().__new__(cls, bits)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def workprec(self):
         """mpmath context manager running at ``bits + GUARD_BITS`` precision."""

@@ -96,7 +96,7 @@ it raises only if 1/4 - T < 2^-75, and there is no retry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul,
@@ -123,8 +123,7 @@ _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
 _FEWEST_TERMS = 20
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(NamedTuple):
     """Term k: A_k(n) and R_k(n), as float or mpf as the term was computed,
     and ``bound`` >= the error of R_k."""
 
@@ -134,8 +133,7 @@ class SeriesTerm:
     bound: float
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """One certified series evaluation: terms, partial sum, rounded value,
     and the error budget (truncation bound T, floating-error bound E)."""
 
@@ -171,7 +169,7 @@ def _check_n(n: int) -> None:
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
     _check_n(n)
-    return max(64, math.ceil(_alpha_float(n) / _LN2) + 64)
+    return math.ceil(_alpha_float(n) / _LN2) + 64
 
 
 def _alpha_raw(n: int, bits: int) -> tuple:

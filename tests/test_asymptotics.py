@@ -39,6 +39,8 @@ def test_relative_errors_match_reference():
     rows = relative_error_table([10, 100, 1000])
     for row, expected in zip(rows, ("-14.53", "-4.57", "-1.42")):
         assert abs(row.eps_percent - mpf(expected)) <= mpf("0.01")
+    with pytest.raises(AttributeError):
+        rows[0].p_n = 0
 
 
 def test_relative_error_display():

@@ -144,6 +144,8 @@ def test_eta_rejects_lower_half_plane():
 def test_verify_eta_inversion_at_i():
     report = verify_eta((0, -1, 1, 0), mpc(0, 1), CTX)
     assert report.residual < mpf(10) ** -10
+    with pytest.raises(AttributeError):
+        report.residual = mpf(0)
 
 
 def test_verify_eta_translation_like_case():

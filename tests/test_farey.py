@@ -189,6 +189,8 @@ def test_tangency_points_example():
     assert pair.alpha1.im == pair.alpha2.im
     assert _on_circle(pair.alpha1, ford_circle(F(1, 2)))
     assert _on_circle(pair.alpha2, ford_circle(F(1, 2)))
+    with pytest.raises(AttributeError):
+        pair.left_k = 2
 
 
 def test_tangency_points_rejects_non_consecutive():
@@ -257,6 +259,8 @@ def test_w_chord_example():
     assert chord.w1.norm2() == F(4, 5)
     for w in (chord.w1, chord.w2):
         assert (w.re - F(1, 2)) ** 2 + w.im * w.im == F(1, 4)
+    with pytest.raises(AttributeError):
+        chord.order = 3
 
 
 def test_w_chord_validation():

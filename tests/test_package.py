@@ -90,3 +90,18 @@ def test_plain_exact_cli_imports_no_json_or_fractions(tmp_path):
     )
     out = _run(script)
     assert out == '5604\n5604\n627\n{"n": 30, "p": "5604"}\n'
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # result records are named tuples; a subprocess, since pytest itself imports inspect
+    script = (
+        "import sys\n"
+        "import partitions.cli\n"
+        "for argv in (['series', '100'], ['ak', '7', '5'], ['bessel', '2'], ['verify', 'eta', '--samples', '1'],"
+        " ['table', '--list', '10'], ['dedekind', '1', '3'], ['ford', '5']):\n"
+        "    assert partitions.cli.main(argv) == 0\n"
+        "    loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "    assert not loaded, (argv, loaded)\n"
+    )
+    out = _run(script)
+    assert '"rounded": "190569292"' in out and out.endswith("1,1,5,5,1/26,5/26,1/26,-5/26\n")

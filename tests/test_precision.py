@@ -8,16 +8,22 @@ from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext
 
 
 def test_bits_floor():
-    with pytest.raises(ValueError):
-        PrecisionContext(63)
+    for build in (lambda: PrecisionContext(63), lambda: DEFAULT_CONTEXT._replace(bits=63),
+                  lambda: PrecisionContext._make([63])):
+        with pytest.raises(ValueError, match="^precision must be at least 64 bits, got 63$"):
+            build()
     assert PrecisionContext(64).bits == 64
     assert DEFAULT_CONTEXT.bits == 128
+    with pytest.raises(AttributeError):
+        PrecisionContext(64).bits = 128
 
 
 def test_bits_ceiling():
     assert PrecisionContext(MAX_BITS).bits == MAX_BITS == 2**17
-    with pytest.raises(ValueError, match="at most 131072 bits"):
-        PrecisionContext(MAX_BITS + 1)
+    for build in (lambda: PrecisionContext(MAX_BITS + 1), lambda: DEFAULT_CONTEXT._replace(bits=MAX_BITS + 1),
+                  lambda: PrecisionContext._make([MAX_BITS + 1])):
+        with pytest.raises(ValueError, match="^precision must be at most 131072 bits, got 131073$"):
+            build()
 
 
 def test_the_bits_ceiling_bounds_only_the_callers_choice(monkeypatch):

@@ -105,6 +105,10 @@ def test_p_series_small_values():
         assert report.rounded == p_exact(n, cache)
         assert report.gap < 0.25
         assert report.n_terms_used == len(report.terms)
+    with pytest.raises(AttributeError):
+        report.rounded = 0
+    with pytest.raises(AttributeError):
+        report.terms[0].bound = 0.0
 
 
 def test_p_series_known_values():
