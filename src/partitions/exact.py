@@ -18,14 +18,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from operator import itemgetter
+from operator import sub
 from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
 ORACLE_LIMIT = 5000
 # the recurrence refuses larger n: on one vCPU of a Xeon VM a cold p_exact took
-# 3.7 s at 10^5 and had not finished after 300 s at 10^6 (its table, about
-# 0.3 n^1.5 bytes, then held 290 MB)
+# 1.0 s of CPU at 10^5 and had not finished after 300 s at 10^6 (its table,
+# about 0.3 n^1.5 bytes, then held 290 MB)
 _MAX_N = 10**5
 
 
@@ -79,6 +79,9 @@ class PartitionCache:
         return len(self._values)
 
     def __getitem__(self, n: int) -> int:
+        # a negative n would count from the end of the list
+        if n < 0:
+            raise IndexError(f"no p({n}) in the table: n must be nonnegative")
         return self._values[n]
 
     def __eq__(self, other):
@@ -93,11 +96,12 @@ class PartitionCache:
         """Run the pentagonal recurrence until p(n) is in the table; n above
         ``_MAX_N`` = 10^5 is refused.
 
-        While p(m) is computed the table holds p(0..m-1), so p(m - w) is
-        the entry at index -w.  The offsets w <= m change only when m
-        reaches the next generalised pentagonal number, so each run of m
-        between two of them reuses one getter per sign and costs two
-        C-level sums, with no Python bytecode per term.
+        The offsets w <= m change only when m reaches the next generalised
+        pentagonal number.  For each run of m between two of them, every
+        offset gets one iterator over the live table, positioned at index
+        m - w: step i of the run reads p(m + i - w), appended by then.  Each
+        p(m) is then two C-level sums, one per sign, over those iterators,
+        with no Python bytecode per term and no copy of the table.
         """
         if n > _MAX_N:
             raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
@@ -105,21 +109,32 @@ class PartitionCache:
         m = len(vals)
         if n < m:
             return
+        append = vals.append
         offsets = _signed_pentagonal()
         w, odd = next(offsets)
+        # largest offset first, so that each sum adds the smallest values first
         plus, minus = [], []
         while m <= n:
             while w <= m:
-                (plus if odd else minus).append(-w)
+                (plus if odd else minus).insert(0, w)
                 w, odd = next(offsets)
-            # index 0 holds p(0) = 1: two pads per getter make it return a
-            # tuple even for zero or one offsets, and cancel in the difference
-            add = itemgetter(*plus, 0, 0)
-            sub = itemgetter(*minus, 0, 0)
             stop = min(w, n + 1)
-            for _ in range(m, stop):
-                vals.append(sum(add(vals)) - sum(sub(vals)))
+            # repeat(0) keeps a sign with no offsets yet going, as zeros
+            adds, subs = (
+                map(sum, zip(itertools.repeat(0), *[_iter_at(vals, m - v) for v in ws]))
+                for ws in (plus, minus)
+            )
+            # one value at a time, so each is in the table before it is read
+            for v in itertools.islice(map(sub, adds, subs), stop - m):
+                append(v)
             m = stop
+
+
+def _iter_at(seq: list, i: int):
+    """An iterator over ``seq`` that starts at index ``i``, in O(1)."""
+    it = iter(seq)
+    it.__setstate__(i)
+    return it
 
 
 def p_exact(n: int, cache: PartitionCache | None = None) -> int:

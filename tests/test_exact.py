@@ -1,7 +1,9 @@
+import json
 import multiprocessing
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,18 @@ def test_small_values():
         assert p_exact(n, cache) == expected
 
 
+def test_cache_refuses_negative_index():
+    # p(-1) is meant, not the last value in the table
+    cache = PartitionCache()
+    p_exact(10, cache)
+    for n in (-1, -11, -12):
+        with pytest.raises(IndexError, match="nonnegative"):
+            cache[n]
+    with pytest.raises(IndexError):
+        cache[11]
+    assert cache[0] == 1 and cache[10] == 42
+
+
 def test_p7_and_p0():
     assert p_exact(7) == 15
     assert p_exact(0) == 1
@@ -120,6 +134,19 @@ def test_ceiling_is_inclusive(monkeypatch):
     with pytest.raises(ValueError, match="at most 50"):
         cache.extend_to(51)
     assert cache.max_n == 50
+
+
+# the reference rows the recurrence reaches, up to its ceiling of 10^5
+RESIDUES = [row for row in json.loads(Path(__file__).with_name("partition_residues.json").read_text())
+            if row["n"] <= 10**5]
+
+
+@pytest.mark.parametrize("row", RESIDUES, ids=[str(row["n"]) for row in RESIDUES])
+def test_p_exact_matches_reference_residues(row):
+    value = p_exact(row["n"])
+    assert value % 2**64 == row["mod_2_64"]
+    assert value % (10**9 + 7) == row["mod_1e9_7"]
+    assert value.bit_length() == row["bit_length"]
 
 
 def test_monotonic():
