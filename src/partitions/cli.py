@@ -6,9 +6,9 @@ sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
 
 Exit codes: 0 on success, 1 when a verification or series certification
 fails (and for I/O trouble), 2 for usage errors: argparse checks the
-arguments' syntax and the --samples count, and the library function that
-receives any other value (a --prec included) checks it and raises
-ValueError.  All error text goes to stderr.  Output is deterministic
+arguments' syntax, ``verify`` the ranges of its own --samples and --prec,
+and the library function that receives any other value checks it and
+raises ValueError.  All error text goes to stderr.  Output is deterministic
 for fixed arguments: summation orders, sample schedules, and precision
 policies contain no randomness.
 """
@@ -27,18 +27,12 @@ from .exact import PartitionCache, cache_load, cache_save, p_exact
 # handlers that use them, so `partitions exact N` never pays for them.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
+# verify refuses more, for time: at both ceilings eta took 19 s and ftransform 16 s on one AMD EPYC vCPU
+VERIFY_MAX_PREC, VERIFY_MAX_SAMPLES = 4096, 32
 
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
 
 
 @contextmanager
@@ -126,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerical checks of the transformation laws")
     p.add_argument("what", choices=("eta", "ftransform"))
-    p.add_argument("--samples", type=positive_int, default=24)
+    p.add_argument("--samples", type=int, default=24)
     p.add_argument("--prec", type=int, default=128)
 
     return parser
@@ -327,6 +321,10 @@ def f_transform_cases(count: int):
 
 
 def _cmd_verify(args) -> int:
+    # before any case is built: these bound this handler's own loop (the library checks --prec >= 64)
+    if not 1 <= args.samples <= VERIFY_MAX_SAMPLES or args.prec > VERIFY_MAX_PREC:
+        raise ValueError(f"verify takes --samples 1 to {VERIFY_MAX_SAMPLES} and --prec up to {VERIFY_MAX_PREC}")
+
     from mpmath import mp, mpf
 
     from .eta import verify_eta, verify_f_transform

@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
 ORACLE_LIMIT = 5000
-# the recurrence refuses larger n: on one vCPU of a Xeon VM a cold p_exact took
-# 1.0 s of CPU at 10^5 and had not finished after 300 s at 10^6 (its table,
-# about 0.3 n^1.5 bytes, then held 290 MB)
+# the recurrence refuses larger n: a cold p_exact took 1.0 s of CPU at 10^5 on one
+# vCPU of an AMD EPYC VM (best of 6), and on a Xeon VM had not finished after 300 s
+# at 10^6 (its table, about 0.3 n^1.5 bytes, then held 290 MB)
 _MAX_N = 10**5
 
 
@@ -97,11 +97,14 @@ class PartitionCache:
         ``_MAX_N`` = 10^5 is refused.
 
         The offsets w <= m change only when m reaches the next generalised
-        pentagonal number.  For each run of m between two of them, every
-        offset gets one iterator over the live table, positioned at index
-        m - w: step i of the run reads p(m + i - w), appended by then.  Each
-        p(m) is then two C-level sums, one per sign, over those iterators,
-        with no Python bytecode per term and no copy of the table.
+        pentagonal number.  Each offset gets one iterator over the live
+        table when it first applies, positioned at index m - w (0 on a
+        growing table, where m = w), and keeps it for the rest of the call.
+        Each run [m, stop) between two pentagonal numbers pulls exactly
+        stop - m items from every iterator through ``islice``, which pulls
+        nothing past its count, so each ends the run at index stop - w,
+        where the next run reads first.  Each p(m) is two C-level sums, one
+        per sign, with no Python bytecode per term and no copy of the table.
         """
         if n > _MAX_N:
             raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
@@ -116,14 +119,11 @@ class PartitionCache:
         plus, minus = [], []
         while m <= n:
             while w <= m:
-                (plus if odd else minus).insert(0, w)
+                (plus if odd else minus).insert(0, _iter_at(vals, m - w))
                 w, odd = next(offsets)
             stop = min(w, n + 1)
             # repeat(0) keeps a sign with no offsets yet going, as zeros
-            adds, subs = (
-                map(sum, zip(itertools.repeat(0), *[_iter_at(vals, m - v) for v in ws]))
-                for ws in (plus, minus)
-            )
+            adds, subs = (map(sum, zip(itertools.repeat(0), *its)) for its in (plus, minus))
             # one value at a time, so each is in the table before it is read
             for v in itertools.islice(map(sub, adds, subs), stop - m):
                 append(v)

@@ -257,6 +257,19 @@ def test_verify_bad_samples(capsys):
     assert code == 2
 
 
+def test_verify_ceilings_checked_before_any_case(capsys, monkeypatch):
+    # a huge --samples would otherwise build its whole case list first
+    def no_cases(count):
+        raise AssertionError("cases built")
+
+    monkeypatch.setattr(cli, "eta_verification_cases", no_cases)
+    monkeypatch.setattr(cli, "f_transform_cases", no_cases)
+    for law in ("eta", "ftransform"):
+        for flags in (["--samples", str(10**12)], ["--samples", "-5"], ["--prec", "131072"]):
+            code, out, err = run(["verify", law, *flags], capsys)
+            assert (code, out) == (2, "") and "--samples 1 to 32" in err
+
+
 def test_cache_flag_round_trip(tmp_path, capsys):
     path = tmp_path / "cache.csv"
     code, out, _ = run(["--cache", str(path), "exact", "30"], capsys)
@@ -401,6 +414,10 @@ GOLDEN = [
     ("verify ftransform --samples 3 --prec 100", 0, "sha256:1e187af26cb20a1c456fbf8daeb882f045d5268ed7ec466ea0d5edaa8154ea7e"),
     ("verify eta --samples 0", 2, ""),
     ("verify eta --prec 63", 2, ""),
+    ("verify eta --prec 4097", 2, ""),
+    ("verify eta --samples 33", 2, ""),
+    ("verify ftransform --prec 4097", 2, ""),
+    ("verify ftransform --samples 33", 2, ""),
 ]
 
 

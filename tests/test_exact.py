@@ -127,6 +127,25 @@ def test_ceiling_refused_before_any_work():
     assert cache.max_n == 0
 
 
+def test_one_positioned_iterator_per_offset_per_call(monkeypatch):
+    # each extend_to call positions one iterator per generalised pentagonal
+    # number <= n (72 of them <= 2000, 88 <= 3000), not one per offset per run
+    import partitions.exact as exact
+
+    calls = []
+    iter_at = exact._iter_at
+    monkeypatch.setattr(exact, "_iter_at", lambda seq, i: calls.append(i) or iter_at(seq, i))
+    cache = PartitionCache()
+    assert p_exact(2000, cache) == 4720819175619413888601432406799959512200344166
+    assert len(calls) == 72 and set(calls) == {0}
+    calls.clear()
+    p_exact(3000, cache)
+    # the resumed call positions the 72 old offsets w at 2001 - w, the 16 new ones at 0
+    old = [w for k in range(1, 37) for w in pentagonal(k)[1:]]
+    assert max(old) <= 2000 and sorted(calls) == sorted([2001 - w for w in old] + [0] * 16)
+    assert [cache[n] for n in range(3001)] == _extend_oracle([1], 3000)
+
+
 def test_ceiling_is_inclusive(monkeypatch):
     monkeypatch.setattr("partitions.exact._MAX_N", 50)
     cache = PartitionCache()
