@@ -6,18 +6,20 @@ analytic route rests on:
 * :mod:`partitions.exact` -- pentagonal-number recurrence (exact integers),
   an independent DP oracle, and a persistent value cache.
 * :mod:`partitions.rademacher` -- the convergent series with certified
-  rounding to the exact integer.
+  rounding to the exact integer, and its A_k exponential sums by Selberg's
+  formula, next to the error model that counts their operations.
 * :mod:`partitions.asymptotics` -- the leading asymptotic L(n) and error
   diagnostics.
 * :mod:`partitions.dedekind`, :mod:`partitions.eta` -- exact Dedekind sums,
-  the A_k exponential sums, and numerical verifiers for the eta and
-  generating-function transformation laws.
+  the integer roots of Selberg's formula, and numerical verifiers for the
+  eta and generating-function transformation laws.
 * :mod:`partitions.farey`, :mod:`partitions.bessel` -- the contour geometry
   (Farey fractions, Ford circles, w-plane chords) and the modified Bessel
   function behind the series terms.
 
-Submodules load on first use (PEP 562), so ``import partitions.exact``
-and ``partitions exact``, ``dedekind``, ``farey``, ``ford`` skip mpmath.
+Submodules load on first use (PEP 562), so ``import partitions.exact``,
+``import partitions.dedekind`` and ``partitions exact``, ``dedekind``,
+``farey``, ``ford`` skip mpmath.
 """
 
 import importlib
@@ -31,7 +33,7 @@ _EXPORTS = {
     "asymptotics": "TABLE_NS AsymptoticRow display_eps error_table_csv leading_term "
                    "relative_error_table tail_ratio_bound zeta_three_halves",
     "bessel": "bessel_i_3_2_closed bessel_i_series",
-    "dedekind": "a_k dedekind_sum reciprocity_defect selberg_roots selberg_sum",
+    "dedekind": "dedekind_sum reciprocity_defect selberg_roots",
     "eta": "EtaCheckReport conjugate_inverse eta exp_i_pi_rational generating_function "
            "verify_eta verify_f_transform",
     "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "
@@ -40,8 +42,8 @@ _EXPORTS = {
              "chord_bounds_check farey_neighbors_check farey_sequence ford_circle "
              "ford_tangency_class rademacher_path tangency_points w_chord",
     "precision": "DEFAULT_CONTEXT PrecisionContext",
-    "rademacher": "CertificationError SeriesReport SeriesTerm alpha default_precision "
-                  "p_series r_k terms_needed truncation_bound",
+    "rademacher": "CertificationError SeriesReport SeriesTerm a_k alpha default_precision "
+                  "p_series r_k selberg_sum terms_needed truncation_bound",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

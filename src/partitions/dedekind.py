@@ -1,4 +1,5 @@
-"""Dedekind sums in exact rational arithmetic, and the A_k exponential sums.
+"""Dedekind sums in exact rational arithmetic, and the integer roots of
+Selberg's formula for A_k(n).
 
 The Dedekind sum is
 
@@ -15,28 +16,26 @@ together with s(k,h) = s(k mod h, h) evaluates the sum along Euclid's
 algorithm in O(log k) exact Fraction steps.  No floating point is involved.
 
 A_k(n) = sum over 1 <= h <= k, gcd(h,k) = 1 of exp(pi i (s(h,k) - 2nh/k)).
-It is computed by Selberg's formula (proved by Whiteman, Pacific J. Math.
-6(1), 1956; Johansson, arXiv 1205.5991, section 2.2)
+Selberg's formula (proved by Whiteman, Pacific J. Math. 6(1), 1956;
+Johansson, arXiv 1205.5991, section 2.2)
 
     A_k(n) = sqrt(k/3) * sum (-1)^l cos(pi (6l+1)/(6k)),
 
-the sum over 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
+sums over the 0 <= l < 2k with l(3l+1)/2 = -n (mod k).  Finding those l
 (:func:`selberg_roots`) takes integer arithmetic only, and on average about
 two of them satisfy the congruence, so a term costs a couple of cosines
 instead of phi(k)/2.  The roots depend on n only through n mod k, so for
 k <= ``_TABLE_K`` they are read from a per-k table of every residue, built
-on first use; above it one pass over k residues finds them.
-:func:`selberg_sum` turns the roots into A_k(n), in floats or with
-mpmath's ``libmp`` primitives at a given width; it is the one evaluator
-behind both :func:`a_k` and the series' terms.
+on first use; above it one pass over k residues finds them.  The floating
+sum over the roots, and the error model that counts its operations, live
+in :mod:`partitions.rademacher`; this module imports only ``math`` and
+``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .precision import DEFAULT_CONTEXT, GUARD_BITS, PrecisionContext
 
 # selberg_roots refuses larger k: above _TABLE_K it scans k residues, which took
 # 0.6 s at k = 10^7 on one vCPU of a Xeon VM; the series needs k <= 10364 (n <= 10^9)
@@ -48,7 +47,6 @@ _TABLE_K = 128
 _NEG_PENTAGONAL = [-(l * (3 * l + 1) // 2) for l in range(2 * _TABLE_K)]
 # k -> its table: entry r lists the l in [0, 2k) with l(3l+1)/2 = -r (mod k), ascending
 _root_tables: dict[int, list[list[int]]] = {}
-_ROOT3 = math.sqrt(3)  # sqrt(3) in floats, for selberg_sum's float tier
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -79,55 +77,6 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
         raise ValueError("h and k must be coprime")
     closed = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
     return dedekind_sum(h, k) + dedekind_sum(k, h) - closed
-
-
-def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """A_k(n) by Selberg's formula; real, |A_k(n)| <= k.
-
-    A_1(n) = 1 and A_2(n) = (-1)^n are returned exactly.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    from mpmath import mp  # here, so exact Dedekind sums never load mpmath
-    from mpmath.libmp import from_int, mpf_sqrt, round_nearest
-
-    roots = selberg_roots(k, n)
-    bits = ctx.bits + GUARD_BITS
-    return mp.make_mpf(selberg_sum(k, roots, mpf_sqrt(from_int(k), bits, round_nearest), bits))
-
-
-def selberg_sum(k: int, roots: list[int], root_k: float | tuple, bits: int | None) -> float | tuple:
-    """A_k(n) from ``roots`` = ``selberg_roots(k, n)`` and ``root_k`` =
-    sqrt(k): in floats (:mod:`math`) when ``bits`` is None, else as a raw
-    mpmath value (an ``_mpf_`` tuple, as are ``root_k`` and the result)
-    computed with ``mpmath.libmp`` at ``bits`` bits, rounding to nearest.
-    Both tiers run the same operations in the same order, which the error
-    model of :mod:`partitions.rademacher` counts."""
-    if bits is None:
-        if k <= 2:
-            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
-            return -1.0 if roots[0] else 1.0
-        pi = math.pi
-        summands = []
-        for l in roots:
-            c = math.cos(pi * (6 * l + 1) / (6 * k))
-            summands.append(-c if l % 2 else c)
-        return root_k / _ROOT3 * math.fsum(summands)
-    import mpmath.libmp as libmp  # here, so exact Dedekind sums never load mpmath
-
-    rnd = libmp.round_nearest
-    if k <= 2:
-        return libmp.from_int(-1 if roots[0] else 1)
-    pi = libmp.mpf_pi(bits, rnd)
-    den = libmp.from_int(6 * k)
-    summands = []
-    for l in roots:
-        c = libmp.mpf_cos(libmp.mpf_div(libmp.mpf_mul_int(pi, 6 * l + 1, bits, rnd), den, bits, rnd), bits, rnd)
-        summands.append(libmp.mpf_neg(c) if l % 2 else c)  # exact: c has at most ``bits`` bits
-    root3 = libmp.mpf_sqrt(libmp.from_int(3), bits, rnd)
-    return libmp.mpf_mul(libmp.mpf_div(root_k, root3, bits, rnd), libmp.mpf_sum(summands, bits, rnd), bits, rnd)
 
 
 def selberg_roots(k: int, n: int) -> list[int]:

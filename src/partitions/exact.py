@@ -64,7 +64,10 @@ class PartitionCache:
     """
 
     def __init__(self, values=None):
-        vals = [1] if values is None else [int(v) for v in values]
+        values = [1] if values is None else list(values)
+        if any(v % 1 for v in values):  # else int() would truncate 1.9 to 1 (and nan % 1 is nan)
+            raise ValueError("partition values must be integers")
+        vals = [int(v) for v in values]
         if not vals or vals[0] != 1:
             raise ValueError("cache must start with p(0) = 1")
         if any(v < 1 for v in vals):

@@ -45,7 +45,7 @@ are off by at most 1.02 and 1.09 eps.  With S the number of l in Selberg's
 sum, to first order in eps:
 
 * A_k = (sqrt(k)/sqrt(3)) sum (-1)^l cos(pi (6l+1)/(6k)) for k >= 3, and
-  A_1 = 1, A_2 = (-1)^n exactly, by :func:`partitions.dedekind.selberg_sum`.
+  A_1 = 1, A_2 = (-1)^n exactly, by :func:`selberg_sum`.
   The cosine argument (< 2 pi) is rounded three times (pi, the product, the
   quotient), so each summand is off by (6 pi + 1) eps; fsum rounds the sum
   once, by at most S eps; sqrt(k), sqrt(3), the quotient and the product
@@ -99,11 +99,11 @@ import math
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_mul,
-                          mpf_mul_int, mpf_nint, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, mpf_sum,
-                          normalize, round_nearest as _RND, to_float, to_int)
+from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_exp,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_nint, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt,
+                          mpf_sub, mpf_sum, normalize, round_nearest as _RND, to_float, to_int)
 
-from .dedekind import selberg_roots, selberg_sum
+from .dedekind import selberg_roots
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
 _LN2 = math.log(2)
@@ -205,6 +205,35 @@ def _log_c(k: int, s: int, u: float, p: float) -> float:
     return u + math.log(2 * p * k * s * (1 + u) * (2.1 * u + 37) / _ROOT3)
 
 
+def selberg_sum(k: int, roots: list[int], root_k: float | tuple, bits: int | None) -> float | tuple:
+    """A_k(n) from ``roots`` = ``selberg_roots(k, n)`` and ``root_k`` =
+    sqrt(k): in floats (:mod:`math`) when ``bits`` is None, else as a raw
+    mpmath value (an ``_mpf_`` tuple, as are ``root_k`` and the result)
+    computed on ``mpmath.libmp`` at ``bits`` bits, rounding to nearest.
+    Both tiers run the same operations in the same order, which the error
+    model above counts."""
+    if bits is None:
+        if k <= 2:
+            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
+            return -1.0 if roots[0] else 1.0
+        pi = math.pi
+        summands = []
+        for l in roots:
+            c = math.cos(pi * (6 * l + 1) / (6 * k))
+            summands.append(-c if l % 2 else c)
+        return root_k / _ROOT3 * math.fsum(summands)
+    if k <= 2:
+        return from_int(-1 if roots[0] else 1)
+    pi = mpf_pi(bits, _RND)
+    den = from_int(6 * k)
+    summands = []
+    for l in roots:
+        c = mpf_cos(mpf_div(mpf_mul_int(pi, 6 * l + 1, bits, _RND), den, bits, _RND), bits, _RND)
+        summands.append(mpf_neg(c) if l % 2 else c)  # exact: c has at most ``bits`` bits
+    root3 = mpf_sqrt(from_int(3), bits, _RND)
+    return mpf_mul(mpf_div(root_k, root3, bits, _RND), mpf_sum(summands, bits, _RND), bits, _RND)
+
+
 def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | None,
           log_c: float) -> SeriesTerm:
     """Term k from Selberg's ``roots``, alpha = ``a`` and P = ``p``, rounded
@@ -236,6 +265,18 @@ def _term(k: int, roots: list[int], a: mpf | float, p: mpf | float, bits: int | 
     log_bound = log_c + (1 - (bits or _FLOAT_BITS)) * _LN2
     bound = math.inf if log_bound > 700 else math.exp(max(log_bound, -700)) * _ROUND_UP
     return SeriesTerm(k, weight, value, bound)
+
+
+def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """A_k(n) by Selberg's formula at the width of ``ctx``; real, |A_k(n)| <= k.
+
+    A_1(n) = 1 and A_2(n) = (-1)^n are returned exactly.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    bits = ctx.bits + GUARD_BITS
+    # selberg_roots refuses k outside 1..10^7
+    return mp.make_mpf(selberg_sum(k, selberg_roots(k, n), mpf_sqrt(from_int(k), bits, _RND), bits))
 
 
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:

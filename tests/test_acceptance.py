@@ -22,12 +22,12 @@ from partitions.asymptotics import (
 )
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.cli import eta_verification_cases, f_transform_cases
-from partitions.dedekind import a_k, dedekind_sum, reciprocity_defect
+from partitions.dedekind import dedekind_sum, reciprocity_defect
 from partitions.eta import verify_eta, verify_f_transform
 from partitions.exact import PartitionCache, partition_table_dp
 from partitions.farey import farey_sequence, rademacher_path, w_chord, chord_bounds_check, ford_circle
 from partitions.precision import PrecisionContext
-from partitions.rademacher import default_precision, p_series, r_k
+from partitions.rademacher import a_k, default_precision, p_series, r_k
 
 # p(n) digit strings for the reference grid
 P_TABLE = {

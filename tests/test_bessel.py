@@ -87,6 +87,11 @@ def test_input_validation():
     with pytest.raises(ValueError):
         bessel_i_series(Fraction(3, 2), "1e6", CTX)
     assert bessel_i_3_2_closed("1e6", CTX) > 0
+    # its cost also grows with the width, so it stops at 32768 bits; the closed form goes on
+    assert bessel_i_series(Fraction(3, 2), 1, PrecisionContext(32768)) > 0
+    with pytest.raises(ValueError):
+        bessel_i_series(Fraction(3, 2), 1, PrecisionContext(32769))
+    assert bessel_i_3_2_closed(1, PrecisionContext(32769)) > 0
     with pytest.raises(ValueError):
         bessel_i_3_2_closed(0, CTX)
     with pytest.raises(ValueError):

@@ -102,6 +102,21 @@ def test_ak_prints_past_the_int_str_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
+def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
+    # verify lifts no int-to-str limit: its values carry at most 4096 + 16
+    # bits, and mp.nstr of them converts far fewer than 4300 digits
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for law in ("eta", "ftransform"):
+            code, out, err = run(["verify", law, "--samples", "2", "--prec", "4096"], capsys)
+            assert (code, out.endswith("all ok\n")) == (0, True), err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_series_deterministic(capsys):
     code1, out1, _ = run(["series", "42"], capsys)
     code2, out2, _ = run(["series", "42"], capsys)
@@ -410,6 +425,7 @@ GOLDEN = [
     ("bessel inf", 2, ""),
     ("bessel 1e6", 2, ""),
     ("bessel 1e400", 2, ""),
+    ("bessel 1 --prec 32769", 2, ""),
     ("verify eta --samples 3", 0, "sha256:8dec72dca9a92c551ed9d2a286b0694cb875045659382ab67a7a849cfacfe173"),
     ("verify ftransform --samples 3 --prec 100", 0, "sha256:1e187af26cb20a1c456fbf8daeb882f045d5268ed7ec466ea0d5edaa8154ea7e"),
     ("verify eta --samples 0", 2, ""),

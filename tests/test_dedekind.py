@@ -7,9 +7,9 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_int, mpf_sqrt, round_nearest
 
 from partitions import cli, dedekind
-from partitions.dedekind import _TABLE_K, a_k, dedekind_sum, reciprocity_defect, selberg_roots, selberg_sum
+from partitions.dedekind import _TABLE_K, dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.precision import PrecisionContext
-from partitions.rademacher import p_series, r_k
+from partitions.rademacher import a_k, p_series, r_k, selberg_sum
 
 CTX = PrecisionContext(128)
 

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,11 @@ def test_cache_constructor_validation():
         PartitionCache([])
     with pytest.raises(ValueError):
         PartitionCache([1, 0])
+    # a non-integral value is refused, not truncated by int()
+    for values in ([1, 1.9, 2.7], [1, 1, 2.5], [1, float("inf")], [1, float("nan")], [1, Fraction(3, 2)]):
+        with pytest.raises(ValueError):
+            PartitionCache(values)
+    assert PartitionCache([1, 1.0, Fraction(2)]) == PartitionCache(iter([1, 1, 2]))
 
 
 def test_cache_extend_is_idempotent():

@@ -55,9 +55,20 @@ def test_eta_stays_the_function_whichever_import_comes_first(first):
 def test_submodules_are_attributes_after_bare_import():
     out = _run(
         "import partitions\n"
-        "print(partitions.rademacher.p_series(100).rounded, partitions.dedekind.a_k(1, 5))\n"
+        "print(partitions.rademacher.p_series(100).rounded, partitions.rademacher.a_k(1, 5))\n"
     )
     assert out.split()[0] == "190569292"
+
+
+def test_dedekind_loads_neither_mpmath_nor_precision():
+    # exact Dedekind sums and Selberg's roots are integer code; A_k's floating
+    # evaluator lives in partitions.rademacher
+    out = _run(
+        "import sys\n"
+        "import partitions.dedekind\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath' or m == 'partitions.precision'))\n"
+    )
+    assert out == "[]\n"
 
 
 def test_exact_cli_does_not_import_mpmath():

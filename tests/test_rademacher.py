@@ -9,15 +9,17 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from partitions.dedekind import a_k, selberg_roots, selberg_sum
+from partitions.dedekind import selberg_roots
 from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
 from partitions.rademacher import (
     CertificationError,
+    a_k,
     alpha,
     default_precision,
     p_series,
     r_k,
+    selberg_sum,
     terms_needed,
     truncation_bound,
 )
