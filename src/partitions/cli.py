@@ -6,11 +6,12 @@ sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
 
 Exit codes: 0 on success, 1 when a verification or series certification
 fails (and for I/O trouble), 2 for usage errors: argparse checks the
-arguments' syntax, ``verify`` the ranges of its own --samples and --prec,
-and the library function that receives any other value checks it and
-raises ValueError.  All error text goes to stderr.  Output is deterministic
-for fixed arguments: summation orders, sample schedules, and precision
-policies contain no randomness.
+arguments' syntax, ``verify`` the range of its own --samples, and the
+library function that receives any other value checks it and raises
+ValueError (``PrecisionContext`` refuses a --prec outside 64 to
+``MAX_BITS`` = 4096 bits).  All error text goes to stderr.  Output is
+deterministic for fixed arguments: summation orders, sample schedules, and
+precision policies contain no randomness.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .exact import PartitionCache, cache_load, cache_save, p_exact
 # handlers that use them, so `partitions exact N` never pays for them.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
-# verify refuses more, for time: at both ceilings eta took 19 s and ftransform 16 s on one AMD EPYC vCPU
-VERIFY_MAX_PREC, VERIFY_MAX_SAMPLES = 4096, 32
+# verify refuses more samples, for time: at 32 samples and 4096 bits
+# eta took 19 s and ftransform 16 s on one AMD EPYC vCPU
+VERIFY_MAX_SAMPLES = 32
 
 
 def _frac_str(x: Fraction) -> str:
@@ -52,8 +54,8 @@ def _unlimited_int_str():
     """No limit on int-to-decimal conversion inside the block, and the
     interpreter's limit (4300 digits by default, since Python 3.10.7)
     again after it: the series report prints p(n) and mpf terms of more
-    digits from n ~ 1.6e7, and mp.nstr of a tiny value at a --prec above
-    about 14300 bits converts a mantissa of more digits."""
+    digits from n ~ 1.6e7.  The --prec subcommands need no lift, as a
+    context carries at most 4096 + 16 bits."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -253,8 +255,7 @@ def _cmd_ak(args) -> int:
     from .rademacher import a_k
 
     value = a_k(args.k, args.n, PrecisionContext(args.prec))
-    with _unlimited_int_str():
-        print(mp.nstr(value, 20))
+    print(mp.nstr(value, 20))
     return 0
 
 
@@ -272,10 +273,9 @@ def _cmd_bessel(args) -> int:
     closed = bessel_i_3_2_closed(x, ctx)
     with ctx.workprec():
         diff = abs(series - closed)
-    with _unlimited_int_str():
-        print(f"series = {mp.nstr(series, 30)}")
-        print(f"closed = {mp.nstr(closed, 30)}")
-        print(f"abs_diff = {mp.nstr(diff, 5)}")
+    print(f"series = {mp.nstr(series, 30)}")
+    print(f"closed = {mp.nstr(closed, 30)}")
+    print(f"abs_diff = {mp.nstr(diff, 5)}")
     return 0
 
 
@@ -321,9 +321,9 @@ def f_transform_cases(count: int):
 
 
 def _cmd_verify(args) -> int:
-    # before any case is built: these bound this handler's own loop (the library checks --prec >= 64)
-    if not 1 <= args.samples <= VERIFY_MAX_SAMPLES or args.prec > VERIFY_MAX_PREC:
-        raise ValueError(f"verify takes --samples 1 to {VERIFY_MAX_SAMPLES} and --prec up to {VERIFY_MAX_PREC}")
+    # before any case is built: --samples bounds this handler's own loop
+    if not 1 <= args.samples <= VERIFY_MAX_SAMPLES:
+        raise ValueError(f"verify takes --samples 1 to {VERIFY_MAX_SAMPLES}")
 
     from mpmath import mp, mpf
 
@@ -345,7 +345,6 @@ def _cmd_verify(args) -> int:
         )
     failures = 0
     worst = mpf(0)
-    # no int-to-str lift: at --prec <= 4096 mp.nstr converts mantissas far below the 4300-digit limit
     for label, residual in checks:
         ok = residual < tolerance
         failures += 0 if ok else 1

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
-from partitions.precision import PrecisionContext
+from partitions.precision import MAX_BITS, PrecisionContext
 
 CTX = PrecisionContext(128)
 CTX256 = PrecisionContext(256)
@@ -87,11 +87,13 @@ def test_input_validation():
     with pytest.raises(ValueError):
         bessel_i_series(Fraction(3, 2), "1e6", CTX)
     assert bessel_i_3_2_closed("1e6", CTX) > 0
-    # its cost also grows with the width, so it stops at 32768 bits; the closed form goes on
-    assert bessel_i_series(Fraction(3, 2), 1, PrecisionContext(32768)) > 0
-    with pytest.raises(ValueError):
-        bessel_i_series(Fraction(3, 2), 1, PrecisionContext(32769))
-    assert bessel_i_3_2_closed(1, PrecisionContext(32769)) > 0
+    # both routes take every width up to the context's MAX_BITS, and the context refuses more
+    assert bessel_i_series(Fraction(3, 2), 1, PrecisionContext(MAX_BITS)) > 0
+    assert bessel_i_3_2_closed(1, PrecisionContext(MAX_BITS)) > 0
+    with pytest.raises(ValueError, match=f"at most {MAX_BITS} bits"):
+        bessel_i_series(Fraction(3, 2), 1, PrecisionContext(MAX_BITS + 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_BITS} bits"):
+        bessel_i_3_2_closed(1, PrecisionContext(MAX_BITS + 1))
     with pytest.raises(ValueError):
         bessel_i_3_2_closed(0, CTX)
     with pytest.raises(ValueError):

@@ -89,27 +89,26 @@ def test_series_prints_past_the_int_str_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
-def test_ak_prints_past_the_int_str_limit(capsys):
-    # A_25(24) = 0, and at 16000 bits the computed value is a tiny mpf whose
-    # mantissa has more than 4300 digits; the limit is lifted only to print it
+def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
+    # every --prec subcommand at the context's ceiling of 4096 bits: no
+    # int-to-str limit is lifted, as a value carries at most 4096 + 16 bits
+    # and mp.nstr of it converts far fewer than 4300 digits. A_25(24) = 0 and
+    # A_k(n) = 0 for k = 3137^2 (6274 Selberg roots), so each prints a tiny
+    # computed mpf; x = 99999.999 is the largest Bessel x at full width
     from mpmath import mpf
 
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    code, out, err = run(["ak", "25", "24", "--prec", "16000"], capsys)
-    assert code == 0, err
-    value, = out.split()
-    assert abs(mpf(value)) < mpf(2) ** -1000
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-
-
-def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
-    # verify lifts no int-to-str limit: its values carry at most 4096 + 16
-    # bits, and mp.nstr of them converts far fewer than 4300 digits
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str limit")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
+        for k, n in ((25, 24), (9840769, 9430737)):
+            code, out, err = run(["ak", str(k), str(n), "--prec", "4096"], capsys)
+            assert code == 0, err
+            value, = out.split()
+            assert abs(mpf(value)) < mpf(2) ** -1000
+        code, out, err = run(["bessel", "99999.999", "--prec", "4096"], capsys)
+        assert code == 0 and out.startswith("series = ") and len(out.splitlines()) == 3, err
         for law in ("eta", "ftransform"):
             code, out, err = run(["verify", law, "--samples", "2", "--prec", "4096"], capsys)
             assert (code, out.endswith("all ok\n")) == (0, True), err
@@ -280,9 +279,13 @@ def test_verify_ceilings_checked_before_any_case(capsys, monkeypatch):
     monkeypatch.setattr(cli, "eta_verification_cases", no_cases)
     monkeypatch.setattr(cli, "f_transform_cases", no_cases)
     for law in ("eta", "ftransform"):
-        for flags in (["--samples", str(10**12)], ["--samples", "-5"], ["--prec", "131072"]):
+        for flags, message in (
+            (["--samples", str(10**12)], "--samples 1 to 32"),
+            (["--samples", "-5"], "--samples 1 to 32"),
+            (["--prec", "131072"], "precision must be at most 4096 bits"),
+        ):
             code, out, err = run(["verify", law, *flags], capsys)
-            assert (code, out) == (2, "") and "--samples 1 to 32" in err
+            assert (code, out) == (2, "") and message in err
 
 
 def test_cache_flag_round_trip(tmp_path, capsys):
@@ -415,6 +418,7 @@ GOLDEN = [
     ("ak 1 5 --prec 63", 2, ""),
     ("ak 10000001 1", 2, ""),
     ("ak 25 24 --prec 131073", 2, ""),
+    ("ak 25 24 --prec 4097", 2, ""),
     ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
     ("bessel 2.5 --prec 100", 0, "sha256:b0bf8d2b0d5fa50d90e7c147f323450421d1ce098ee0ff9db9a84aee1393587a"),
     ("bessel 0", 2, ""),
@@ -426,6 +430,7 @@ GOLDEN = [
     ("bessel 1e6", 2, ""),
     ("bessel 1e400", 2, ""),
     ("bessel 1 --prec 32769", 2, ""),
+    ("bessel 1 --prec 4097", 2, ""),
     ("verify eta --samples 3", 0, "sha256:8dec72dca9a92c551ed9d2a286b0694cb875045659382ab67a7a849cfacfe173"),
     ("verify ftransform --samples 3 --prec 100", 0, "sha256:1e187af26cb20a1c456fbf8daeb882f045d5268ed7ec466ea0d5edaa8154ea7e"),
     ("verify eta --samples 0", 2, ""),

@@ -19,10 +19,10 @@ def test_bits_floor():
 
 
 def test_bits_ceiling():
-    assert PrecisionContext(MAX_BITS).bits == MAX_BITS == 2**17
+    assert PrecisionContext(MAX_BITS).bits == MAX_BITS == 2**12
     for build in (lambda: PrecisionContext(MAX_BITS + 1), lambda: DEFAULT_CONTEXT._replace(bits=MAX_BITS + 1),
                   lambda: PrecisionContext._make([MAX_BITS + 1])):
-        with pytest.raises(ValueError, match="^precision must be at most 131072 bits, got 131073$"):
+        with pytest.raises(ValueError, match="^precision must be at most 4096 bits, got 4097$"):
             build()
 
 
