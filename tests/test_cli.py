@@ -89,12 +89,12 @@ def test_series_prints_past_the_int_str_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
-def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
-    # every --prec subcommand at the context's ceiling of 4096 bits: no
-    # int-to-str limit is lifted, as a value carries at most 4096 + 16 bits
-    # and mp.nstr of it converts far fewer than 4300 digits. A_25(24) = 0 and
-    # A_k(n) = 0 for k = 3137^2 (6274 Selberg roots), so each prints a tiny
-    # computed mpf; x = 99999.999 is the largest Bessel x at full width
+def test_ak_prints_past_the_int_str_limit(capsys):
+    # ak lifts no int-to-str limit: at the context's ceiling of 4096 bits a
+    # value carries at most 4096 + 16 bits, and mp.nstr of it converts far
+    # fewer than 4300 digits. A_25(24) = 0 and A_k(n) = 0 for k = 3137^2
+    # (6274 Selberg roots), so each prints a tiny computed mpf, and the
+    # limit is left as it was found
     from mpmath import mpf
 
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -107,6 +107,20 @@ def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
             assert code == 0, err
             value, = out.split()
             assert abs(mpf(value)) < mpf(2) ** -1000
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
+    # bessel and verify lift no int-to-str limit either: their values carry
+    # at most 4096 + 16 bits. x = 99999.999 is the largest Bessel x at full
+    # width
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
         code, out, err = run(["bessel", "99999.999", "--prec", "4096"], capsys)
         assert code == 0 and out.startswith("series = ") and len(out.splitlines()) == 3, err
         for law in ("eta", "ftransform"):
