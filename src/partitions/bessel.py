@@ -28,6 +28,8 @@ The two routes share no code and serve as mutual oracles.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from mpmath import mp, mpf
 
 from .precision import DEFAULT_CONTEXT, PrecisionContext
@@ -35,14 +37,17 @@ from .precision import DEFAULT_CONTEXT, PrecisionContext
 # largest x the power series accepts (its cost is linear in x)
 _SERIES_MAX_X = 10**5
 
+# the series stops once a term drops below 2^-(bits + _STOP_BITS) of the total
+_STOP_BITS = 8
+
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Power-series I_nu(x) for 0 <= x <= 10^5, nu > -1.
 
     Parameters
     ----------
-    nu : order; number or Fraction.  nu = 3/2 uses the exact half-integer
-        Gamma seed, every other order seeds with Gamma(nu+1).
+    nu : order; number, decimal string or Fraction.  nu = 3/2 uses the
+        exact half-integer Gamma seed, every other order Gamma(nu+1).
     x : argument in [0, 10^5] (number or decimal string).
     ctx : target precision.
     """
@@ -50,7 +55,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         x = mpf(x)
         if not 0 <= x <= _SERIES_MAX_X:
             raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
-        nu_f = ctx.real(nu)
+        nu_f = mpf(nu.numerator) / nu.denominator if isinstance(nu, Fraction) else mpf(nu)
         if not nu_f > -1:
             raise ValueError("nu must be greater than -1")
         if x == 0:
@@ -62,7 +67,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
             seed = mp.gamma(nu_f + 1)
         term = half**nu_f / seed
         total = term
-        thresh = ctx.tail_threshold
+        thresh = mpf(2) ** -(ctx.bits + _STOP_BITS)
         square = half * half  # once, not once per term: the same rounded value
         j = 0
         while True:

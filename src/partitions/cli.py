@@ -268,9 +268,8 @@ def _cmd_bessel(args) -> int:
     from .precision import PrecisionContext
 
     ctx = PrecisionContext(args.prec)
-    x = ctx.real(args.x)
-    series = bessel_i_series(Fraction(3, 2), x, ctx)
-    closed = bessel_i_3_2_closed(x, ctx)
+    series = bessel_i_series(Fraction(3, 2), args.x, ctx)
+    closed = bessel_i_3_2_closed(args.x, ctx)
     with ctx.workprec():
         diff = abs(series - closed)
     print(f"series = {mp.nstr(series, 30)}")
@@ -384,9 +383,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -1,11 +1,12 @@
 """Precision bookkeeping for high-precision floating evaluation.
 
-A :class:`PrecisionContext` governs the mpmath work: it pins the working
-precision in bits; functions returning mpmath values compute inside
-``with ctx.workprec():``.  mpmath values are immutable and keep the
-precision they were computed at, so results can be mixed freely afterwards
-(comparisons and follow-up arithmetic should run inside a context of their
-own if they need more than the ambient precision).
+A :class:`PrecisionContext` is a checked width and nothing more: it pins the
+working precision in bits; functions returning mpmath values compute inside
+``with ctx.workprec():`` and own their stop rules and input conversions.
+mpmath values are immutable and keep the precision they were computed at,
+so results can be mixed freely afterwards (comparisons and follow-up
+arithmetic should run inside a context of their own if they need more than
+the ambient precision).
 A context carries a caller's choice of precision (``--prec``, or a library
 caller's); the certified series sets its own width from n and needs none.
 A context is a one-field named tuple that checks 64 <= bits <= ``MAX_BITS``
@@ -18,16 +19,12 @@ interpreter's default 4300-digit limit on int-to-str conversion.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 # extra working bits inside evaluation loops, so accumulated rounding stays
 # below the advertised precision
 GUARD_BITS = 16
-
-# series stop once a term drops below 2^-(bits + TAIL_GUARD_BITS)
-TAIL_GUARD_BITS = 8
 
 # the widest context a caller may ask for, so that a --prec runs for a bounded time
 MAX_BITS = 2**12
@@ -52,18 +49,6 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
     def workprec(self):
         """mpmath context manager running at ``bits + GUARD_BITS`` precision."""
         return mp.workprec(self.bits + GUARD_BITS)
-
-    @property
-    def tail_threshold(self) -> mpf:
-        """Truncation threshold for convergent series."""
-        return mpf(2) ** (-self.bits - TAIL_GUARD_BITS)
-
-    def real(self, x) -> mpf:
-        """Convert ``x`` (number, decimal string, or Fraction) to mpf."""
-        with self.workprec():
-            if isinstance(x, Fraction):
-                return mpf(x.numerator) / x.denominator
-            return mpf(x)
 
 
 DEFAULT_CONTEXT = PrecisionContext(128)

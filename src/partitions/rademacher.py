@@ -294,12 +294,6 @@ def truncation_bound(n: int, n_terms: int) -> float:
     _check_n(n)
     if n_terms < 1:
         raise ValueError("N must be a positive integer")
-    return _truncation_bound(n, n_terms)
-
-
-def _truncation_bound(n: int, n_terms: int) -> float:
-    """:func:`truncation_bound` without the checks, for :func:`terms_needed`
-    and :func:`p_series`, which check n once."""
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -327,13 +321,12 @@ def terms_needed(n: int) -> int:
     the answer and true from it on, and bisection finds the N that a
     step-by-step search would.
     """
-    _check_n(n)
     low, high = _FEWEST_TERMS - 1, _FEWEST_TERMS  # T(n, low) >= 1/4 (see above)
-    while _truncation_bound(n, high) >= 0.25:
+    while truncation_bound(n, high) >= 0.25:
         low, high = high, 2 * high
     while high - low > 1:
         middle = (low + high) // 2
-        if _truncation_bound(n, middle) < 0.25:
+        if truncation_bound(n, middle) < 0.25:
             high = middle
         else:
             low = middle
@@ -372,7 +365,7 @@ def p_series(n: int) -> SeriesReport:
     bits = default_precision(n)
     width = bits + GUARD_BITS
     n_terms = terms_needed(n)
-    t = _truncation_bound(n, n_terms)
+    t = truncation_bound(n, n_terms)
     log_budget = math.log((0.25 - t) / (2 * n_terms))
     a, p = _alpha_p(n, width)
     a_float, p_float = float(a), float(p)

@@ -104,3 +104,20 @@ def test_input_validation():
             bessel_i_series(Fraction(3, 2), x, CTX)
         with pytest.raises(ValueError):
             bessel_i_3_2_closed(x, CTX)
+
+
+@pytest.mark.parametrize("bits", [100, MAX_BITS])
+def test_series_converts_nu_and_x_at_the_context_width(bits):
+    # every spelling of an order or argument becomes the same mpf at the context's width
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        third, x = mpf(1) / 3, mpf("0.1")
+    values = {bessel_i_series(nu, "2.5", ctx)._mpf_ for nu in (Fraction(3, 2), 1.5, "1.5")}
+    assert len(values) == 1
+    assert bessel_i_series(Fraction(1, 3), "2.5", ctx)._mpf_ == bessel_i_series(third, "2.5", ctx)._mpf_
+    series, closed = bessel_i_series(Fraction(3, 2), "0.1", ctx), bessel_i_3_2_closed("0.1", ctx)
+    assert series._mpf_ == bessel_i_series(Fraction(3, 2), x, ctx)._mpf_
+    assert closed._mpf_ == bessel_i_3_2_closed(x, ctx)._mpf_
+    # and the width is the context's, not the ambient 53 bits: the two routes agree far past 2^-53
+    with ctx.workprec():
+        assert abs(series - closed) <= closed * mpf(2) ** -(bits - 8)

@@ -82,7 +82,7 @@ def _euler_product_oracle(q, ctx):
     """prod_{m>=1} (1 - q^m) by the truncated product, stopped once |q|^m
     falls below 2^-(bits+8): an independent route to mp.qp(q)."""
     with ctx.workprec():
-        thresh = ctx.tail_threshold
+        thresh = mpf(2) ** -(ctx.bits + 8)
         prod = q * 0 + 1  # one of the same type as q
         power = prod
         while True:

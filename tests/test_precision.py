@@ -1,7 +1,5 @@
-from fractions import Fraction
-
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp
 
 from partitions import rademacher
 from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext
@@ -48,20 +46,3 @@ def test_workprec_scopes_precision():
         assert mp.prec == 216  # bits + guard
     assert mp.prec == before
 
-
-def test_real_parses_strings_exactly_enough():
-    ctx = PrecisionContext(128)
-    x = ctx.real("0.1")
-    with ctx.workprec():
-        assert abs(x - mpf(1) / 10) < mpf(2) ** -120
-
-
-def test_real_accepts_fractions():
-    ctx = PrecisionContext(128)
-    with ctx.workprec():
-        assert abs(ctx.real(Fraction(1, 3)) - mpf(1) / 3) < mpf(2) ** -120
-
-
-def test_tail_threshold():
-    ctx = PrecisionContext(100)
-    assert ctx.tail_threshold == mpf(2) ** -108
