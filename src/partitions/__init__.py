@@ -18,8 +18,8 @@ analytic route rests on:
   function behind the series terms.
 
 Submodules load on first use (PEP 562), so ``import partitions.exact``,
-``import partitions.dedekind`` and ``partitions exact``, ``dedekind``,
-``farey``, ``ford`` skip mpmath.
+``import partitions.dedekind``, ``import partitions.farey`` and
+``partitions exact``, ``dedekind``, ``farey``, ``ford`` skip mpmath.
 """
 
 import importlib

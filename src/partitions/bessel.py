@@ -23,6 +23,9 @@ precision (Gamma(5/2) = 3 sqrt(pi)/4, then multiply by nu+j each step).
                = sqrt(2x/pi) * (x cosh x - sinh x) / x^2,
 
 singular to write down at x = 0 (the series route covers that point).
+As x -> 0, x cosh x - sinh x ~ x^3/3 cancels about 2 log2(1/x) bits, so
+the numerator runs that many bits wider (none for x >= 1/2).  The closed
+form refuses x < 2^-4096, which caps the extra width at 8192 bits.
 The two routes share no code and serve as mutual oracles.
 """
 
@@ -39,6 +42,9 @@ _SERIES_MAX_X = 10**5
 
 # the series stops once a term drops below 2^-(bits + _STOP_BITS) of the total
 _STOP_BITS = 8
+
+# smallest x the closed form accepts: its numerator runs up to 8192 bits wider
+_CLOSED_MIN_X = mpf(2) ** -4096
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -79,9 +85,11 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def bessel_i_3_2_closed(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x > 0."""
+    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x >= 2^-4096."""
     with ctx.workprec():
         x = mpf(x)
-        if not 0 < x < mp.inf:
-            raise ValueError("closed form requires finite x > 0")
-        return mp.sqrt(2 * x / mp.pi) * (x * mp.cosh(x) - mp.sinh(x)) / (x * x)
+        if not _CLOSED_MIN_X <= x < mp.inf:
+            raise ValueError("closed form requires finite x >= 2^-4096")
+        with mp.extraprec(max(0, -2 * mp.mag(x))):
+            numerator = x * mp.cosh(x) - mp.sinh(x)
+        return mp.sqrt(2 * x / mp.pi) * numerator / (x * x)

@@ -287,8 +287,7 @@ def eta_verification_cases(count: int):
         mpc("0.5", "0.6"), mpc("0.7", "1.4"), mpc("-0.4", "0.9"),
     )
     cases = []
-    j = 0
-    while len(cases) < count:
+    for j in range(count):
         c = j % 6 + 1
         d = j // 6 + 1
         while math.gcd(c, d) != 1:
@@ -296,7 +295,6 @@ def eta_verification_cases(count: int):
         a = pow(d, -1, c) if c > 1 else 1
         b = (a * d - 1) // c
         cases.append(((a, b, c, d), taus[j % len(taus)]))
-        j += 1
     return cases
 
 
@@ -309,13 +307,11 @@ def f_transform_cases(count: int):
         mpc("1.3", "0.2"), mpc("0.6"), mpc("0.9", "0.7"),
     )
     cases = []
-    j = 0
-    while len(cases) < count:
+    for j in range(count):
         k = j % 6 + 1
         coprime = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
         h = coprime[(j // 6) % len(coprime)]
         cases.append((h, k, zs[j % len(zs)]))
-        j += 1
     return cases
 
 

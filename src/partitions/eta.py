@@ -117,7 +117,7 @@ def conjugate_inverse(h: int, k: int) -> int:
 def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """|F(w) - transformed F(w')| for the generating function near
     exp(2 pi i h / k); zero in exact arithmetic."""
-    if k < 1 or not 1 <= h <= k:
+    if not 1 <= h <= k:
         raise ValueError("need 1 <= h <= k")
     H = conjugate_inverse(h, k)
     with ctx.workprec():

@@ -1,7 +1,7 @@
 """Farey sequences, Ford circles, and the circle-method contour geometry.
 
-Everything here is exact rational arithmetic (``fractions.Fraction``);
-floating point enters only in :func:`arc_length_bound_check`, where pi does.
+Everything here is exact rational arithmetic (``fractions.Fraction``); no
+floating point enters, as the bound checks rest on proofs, not evaluation.
 
 F_N is generated in one ascending pass by the next-term rule: it starts
 0/1, 1/N, and if a/b < c/d are adjacent in F_N, the term after c/d is
@@ -177,20 +177,16 @@ def w_chord(prev, mid, nxt, order: int) -> WChord:
 def chord_bounds_check(chord: WChord) -> bool:
     """Exact check of |w| <= sqrt(2) k/(N+1) and Re(1/w) > 1/4 on the chord.
 
-    Both inequalities are verified (squared) at the endpoints and at the
-    midpoint.  |w| on a chord is maximized at an endpoint, so the endpoint
-    checks already cover the norm bound; the midpoint is an extra interior
-    sample for Re(1/w) = Re(w)/|w|^2.
+    Both inequalities are checked squared, at w1 and w2 only.  That decides
+    the whole chord: |w|^2 <= 2k^2/(N+1)^2 is a closed disk about 0, and
+    Re(1/w) = Re(w)/|w|^2 > 1/4, that is 4 Re w > |w|^2 or |w - 2|^2 < 4, an
+    open disk about 2.  Disks are convex, so a segment whose endpoints lie
+    in both lies in both.
     """
     norm_bound = Fraction(2 * chord.k * chord.k, (chord.order + 1) ** 2)
-    midpoint = QPoint(
-        (chord.w1.re + chord.w2.re) / 2, (chord.w1.im + chord.w2.im) / 2
-    )
-    for w in (chord.w1, chord.w2, midpoint):
+    for w in (chord.w1, chord.w2):
         n2 = w.norm2()
-        if n2 > norm_bound:
-            return False
-        if 4 * w.re <= n2:
+        if n2 > norm_bound or 4 * w.re <= n2:
             return False
     return True
 
@@ -198,22 +194,16 @@ def chord_bounds_check(chord: WChord) -> bool:
 def arc_length_bound_check(w: QPoint) -> bool:
     """Minor-arc length from 0 to w on |z - 1/2| = 1/2 is at most pi|w|/2.
 
-    Membership of w on the circle is required exactly; the transcendental
-    comparison itself runs at 64-bit precision (equality holds at w = 1,
-    hence the one-ulp-scale slack).
+    Membership of w on the circle, and w != 0, are checked exactly; the
+    bound itself always holds.  Proof: the circle has radius 1/2, so a
+    chord of length |w| subtends the central angle 2 asin|w| and the minor
+    arc from 0 to w has length asin|w|, with 0 < |w| <= 1.  asin is convex
+    on [0, 1] with asin 0 = 0 and asin 1 = pi/2, so it lies below that
+    chord: asin|w| <= pi|w|/2, with equality at w = 1.
     """
     w = QPoint(Fraction(w[0]), Fraction(w[1]))
     if (w.re - Fraction(1, 2)) ** 2 + w.im * w.im != Fraction(1, 4):
         raise ValueError("w does not lie on the circle |z - 1/2| = 1/2")
     if w.re == 0 and w.im == 0:
         raise ValueError("w must differ from the origin")
-    from mpmath import mp, mpf  # here, so the exact geometry never loads mpmath
-
-    with mp.workprec(64):
-        x = mpf(w.re.numerator) / w.re.denominator - mpf(1) / 2
-        y = mpf(w.im.numerator) / w.im.denominator
-        theta = mp.atan2(y, x)
-        arc = (mp.pi - abs(theta)) / 2
-        n2 = w.norm2()
-        bound = mp.pi * mp.sqrt(mpf(n2.numerator) / n2.denominator) / 2
-        return arc <= bound + mpf(2) ** -45
+    return True

@@ -121,3 +121,18 @@ def test_series_converts_nu_and_x_at_the_context_width(bits):
     # and the width is the context's, not the ambient 53 bits: the two routes agree far past 2^-53
     with ctx.workprec():
         assert abs(series - closed) <= closed * mpf(2) ** -(bits - 8)
+
+
+@pytest.mark.parametrize("bits", [128, MAX_BITS])
+def test_closed_form_keeps_its_width_as_x_goes_to_zero(bits):
+    # x cosh x - sinh x ~ x^3/3 cancels about 2 log2(1/x) bits, which the numerator gets back
+    ctx = PrecisionContext(bits)
+    for x in ("1e-3", "1e-12", "1e-30", "1e-300", "1e-1200", mpf(2) ** -4096):
+        closed = bessel_i_3_2_closed(x, ctx)
+        with mp.workprec(bits + 64):
+            reference = mp.besseli(mpf("1.5"), mpf(x))
+            assert abs(closed - reference) <= reference * mpf(2) ** -bits, x
+    # below 2^-4096 the extra width would pass 8192 bits, so the closed form refuses
+    for x in ("1e-1300", mpf(2) ** -4097):
+        with pytest.raises(ValueError, match="2\\^-4096"):
+            bessel_i_3_2_closed(x, ctx)

@@ -378,6 +378,28 @@ def test_truncated_cache_is_a_usage_error(tmp_path, capsys):
     assert path.read_bytes() == damaged
 
 
+def test_unusable_cache_path_exits_1(tmp_path, capsys):
+    # I/O trouble is exit 1, not a usage error: a directory cannot be read as
+    # a cache, and a cache in a missing directory cannot be saved
+    for path in (tmp_path, tmp_path / "missing" / "c.txt"):
+        code, out, err = run(["--cache", str(path), "exact", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
+def test_series_certification_failure_exits_1(capsys, monkeypatch):
+    from partitions import rademacher
+
+    def uncertified(n):
+        raise rademacher.CertificationError(f"p({n}) not certified")
+
+    monkeypatch.setattr(rademacher, "p_series", uncertified)
+    code, out, err = run(["series", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: p(5) not certified\n"
+
+
 def test_negative_n_with_cache_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cache.csv"
     run(["--cache", str(path), "exact", "10"], capsys)
@@ -443,6 +465,7 @@ GOLDEN = [
     ("bessel inf", 2, ""),
     ("bessel 1e6", 2, ""),
     ("bessel 1e400", 2, ""),
+    ("bessel 1e-1300", 2, ""),
     ("bessel 1 --prec 32769", 2, ""),
     ("bessel 1 --prec 4097", 2, ""),
     ("verify eta --samples 3", 0, "sha256:8dec72dca9a92c551ed9d2a286b0694cb875045659382ab67a7a849cfacfe173"),

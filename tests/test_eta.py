@@ -208,3 +208,6 @@ def test_verify_f_transform_rejects_bad_inputs():
         verify_f_transform(2, 4, mpf(1), CTX)
     with pytest.raises(ValueError):
         verify_f_transform(5, 3, mpf(1), CTX)
+    for k in (0, -1):  # no 1 <= h <= k exists
+        with pytest.raises(ValueError, match="need 1 <= h <= k"):
+            verify_f_transform(1, k, mpf(1), CTX)

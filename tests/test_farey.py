@@ -279,6 +279,24 @@ def test_chord_bounds_hold():
             assert chord_bounds_check(chord)
 
 
+def test_chord_bounds_hold_at_interior_points():
+    # the endpoints decide the chord, as both bounds are disks: every
+    # w1 + (j/8)(w2 - w1) meets |w|^2 <= 2k^2/(N+1)^2 and 4 Re w > |w|^2
+    for order in range(1, 31):
+        for triple in contour_triples(order):
+            chord = w_chord(*triple, order)
+            assert chord_bounds_check(chord)
+            norm_bound = F(2 * chord.k * chord.k, (order + 1) ** 2)
+            for j in range(9):
+                t = F(j, 8)
+                w = QPoint(
+                    chord.w1.re + t * (chord.w2.re - chord.w1.re),
+                    chord.w1.im + t * (chord.w2.im - chord.w1.im),
+                )
+                assert w.norm2() <= norm_bound
+                assert 4 * w.re > w.norm2()
+
+
 def test_chord_bounds_can_fail_for_wrong_order():
     # a triple from F_2 pretending to come from a much finer sequence
     chord = w_chord(F(0), F(1, 2), F(1), 50)

@@ -83,6 +83,26 @@ def test_dedekind_loads_neither_mpmath_nor_precision():
     assert out == "[]\n"
 
 
+def test_farey_loads_no_mpmath():
+    # the contour geometry is exact, and its two bound checks are proofs
+    out = _run(
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "import partitions.farey as farey\n"
+        "seq = farey.farey_sequence(5)\n"
+        "circles = [farey.ford_circle(f) for f in seq[:2]]\n"
+        "chords = [farey.w_chord(*triple, 5) for triple in farey.contour_triples(5)]\n"
+        "print(farey.farey_neighbors_check(seq), farey.ford_tangency_class(*circles),\n"
+        "      farey.tangency_points(*seq[:3]).frac, len(farey.rademacher_path(5)),\n"
+        "      all(farey.chord_bounds_check(c) for c in chords),\n"
+        "      farey.chord_bounds_check(farey.w_chord(0, F(1, 2), 1, 50)),\n"
+        "      all(farey.arc_length_bound_check(w) for c in chords for w in (c.w1, c.w2)),\n"
+        "      farey.arc_length_bound_check(farey.QPoint(1, 0)), chords[0].w1.norm2())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    assert out == "True tangent 1/5 10 True False True True 25/26\n[]\n"
+
+
 def test_exact_cli_does_not_import_mpmath():
     # exact, dedekind, farey and ford answer in integers and rationals
     script = (
