@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import launch
 from partitions import cli
 from partitions.exact import cache_load
 from partitions.rademacher import p_series
@@ -231,10 +232,6 @@ def test_dedekind_output(capsys):
     assert out.strip() == "1/18"
     code, out, _ = run(["dedekind", "5", "1"], capsys)
     assert out.strip() == "0/1"
-    # s(2,4) = s(1,2) = 0: the sawtooth vanishes where hr/k is an integer
-    code, out, _ = run(["dedekind", "2", "4"], capsys)
-    assert code == 0
-    assert out.strip() == "0/1"
 
 
 def test_dedekind_rejects_bad_k(capsys):
@@ -409,8 +406,9 @@ def test_negative_n_with_cache_is_a_usage_error(tmp_path, capsys):
     assert "n must be nonnegative" in err
 
 
-# Every subcommand, each --format where one is honoured, and the invalid
-# inputs; long outputs are pinned by the SHA-256 of their text.
+# The CLI's contract: every subcommand, each --format where one is honoured,
+# and the invalid inputs; long outputs are pinned by the SHA-256 of their
+# text. Each row runs in process and in launched processes.
 GOLDEN = [
     ("exact 7", 0, "15\n"),
     ("--format csv exact 7", 0, "n,p_n\n7,15\n"),
@@ -446,6 +444,8 @@ GOLDEN = [
     ("ford 0", 2, ""),
     ("ford 1001", 2, ""),
     ("dedekind 5 7", 0, "-1/14\n"),
+    # s(2,4) = s(1,2) = 0: the sawtooth vanishes where hr/k is an integer
+    ("dedekind 2 4", 0, "0/1\n"),
     ("dedekind 1 0", 2, ""),
     ("ak 6 4", 0, "-1.9696155060244161187\n"),
     ("ak 3 2 --prec 100", 0, "-1.2855752193730786526\n"),
@@ -453,6 +453,7 @@ GOLDEN = [
     ("ak 5 0", 2, ""),
     ("ak 1 5 --prec 63", 2, ""),
     ("ak 10000001 1", 2, ""),
+    ("ak 1000000000000 1", 2, ""),
     ("ak 25 24 --prec 131073", 2, ""),
     ("ak 25 24 --prec 4097", 2, ""),
     ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
@@ -468,6 +469,8 @@ GOLDEN = [
     ("bessel 1e-1300", 2, ""),
     ("bessel 1 --prec 32769", 2, ""),
     ("bessel 1 --prec 4097", 2, ""),
+    # refused before the series' 10^5 terms run
+    ("bessel 100000 --prec 4097", 2, ""),
     ("verify eta --samples 3", 0, "sha256:8dec72dca9a92c551ed9d2a286b0694cb875045659382ab67a7a849cfacfe173"),
     ("verify ftransform --samples 3 --prec 100", 0, "sha256:1e187af26cb20a1c456fbf8daeb882f045d5268ed7ec466ea0d5edaa8154ea7e"),
     ("verify eta --samples 0", 2, ""),
@@ -479,10 +482,7 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("line,code,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_golden_output(line, code, expected, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
-    got_code, out, err = run(shlex.split(line), capsys)
+def check_golden(code, expected, got_code, out, err):
     assert got_code == code, err
     if expected.startswith("sha256:"):
         assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
@@ -490,3 +490,18 @@ def test_golden_output(line, code, expected, capsys, monkeypatch):
         assert out == expected
     if code == 2:
         assert out == "" and err != ""
+
+
+@pytest.mark.parametrize("line,code,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(line, code, expected, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    check_golden(code, expected, *run(shlex.split(line), capsys))
+
+
+@pytest.mark.parametrize("line,code,expected", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output_launched(line, code, expected, monkeypatch):
+    # the process's exit code is main's return value; a refusal comes at once
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    for command in launch.cli_commands():
+        done = launch.run([*command, *shlex.split(line)], timeout=10 if code == 2 else 60)
+        check_golden(code, expected, done.returncode, done.stdout, done.stderr)

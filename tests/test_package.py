@@ -1,28 +1,13 @@
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import partitions
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _python(*args):
-    return subprocess.run(
-        [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+from launch import python
 
 
 def _run(script):
-    done = _python("-c", script)
+    done = python("-c", script)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -62,14 +47,6 @@ def test_submodules_are_attributes_after_bare_import():
         "print(partitions.rademacher.p_series(100).rounded, partitions.rademacher.a_k(1, 5))\n"
     )
     assert out.split()[0] == "190569292"
-
-
-def test_module_main_returns_the_exit_code():
-    # `python -m partitions.cli` exits with main's code, as the installed script does
-    done = _python("-m", "partitions.cli", "exact", "7")
-    assert (done.returncode, done.stdout) == (0, "15\n"), done.stderr
-    done = _python("-m", "partitions.cli", "series", "0")
-    assert (done.returncode, done.stdout) == (2, "")
 
 
 def test_dedekind_loads_neither_mpmath_nor_precision():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from partitions.dedekind import selberg_roots
 from partitions.exact import PartitionCache, p_exact
@@ -285,6 +285,103 @@ def test_float_terms_within_their_bounds():
     assert tiers == {float, mpf}
 
 
+def _fraction(x):
+    """A float or finite mpf, exactly."""
+    if isinstance(x, float):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * (Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp))
+
+
+def _enclosure(n, k, roots, bits):
+    """R_k(n) and A_k(n), each as the two ends of an interval that holds it
+    (Fractions), by mpmath.iv at ``bits`` bits from n, k and Selberg's
+    ``roots`` of k alone:
+
+        R_k = pi sqrt(k) / (3 sqrt(2) sqrt(m)) A_k (u cosh u - sinh u) / a^2,
+        A_k = sqrt(k/3) sum (-1)^l cos(pi (6l + 1)/(6k)),
+        m = n - 1/24, a = pi sqrt(2m/3), u = a/k,
+
+    with u cosh u - sinh u as ((u - 1) e^u + (u + 1) e^-u)/2, as iv has no
+    cosh or sinh. This uses neither libm nor the error model; its one
+    premise is that iv's functions return enclosures."""
+    saved, iv.prec = iv.prec, bits
+    try:
+        m = iv.mpf(n) - iv.mpf(1) / 24
+        a = iv.pi * iv.sqrt(2 * m / 3)
+        weight = iv.sqrt(iv.mpf(k) / 3) * sum(
+            (-1) ** l * iv.cos(iv.pi * (6 * l + 1) / (6 * k)) for l in roots
+        )
+        u = a / k
+        e = iv.exp(u)
+        value = iv.pi * iv.sqrt(k) / (3 * iv.sqrt(2) * iv.sqrt(m)) * weight * ((u - 1) * e + (u + 1) / e) / 2 / a**2
+        return [tuple(_fraction(mp.make_mpf(end)) for end in x._mpi_) for x in (value, weight)]
+    finally:
+        iv.prec = saved
+
+
+def _off_by_at_most(computed, ends, bound):
+    """|computed - x| <= bound for every x between the two ``ends``."""
+    return max(abs(_fraction(computed) - end) for end in ends) <= Fraction(bound)
+
+
+def _term_widths(n, report):
+    """The bits each term of ``report`` ran at, by p_series' routing; 53 for a float term."""
+    width = report.prec + GUARD_BITS
+    a, p = _alpha_p(n, width)
+    log_budget = math.log((0.25 - report.truncation_bound) / (2 * report.n_terms_used))
+    for term in report.terms:
+        u = float(a) / term.k
+        log_c = _log_c(term.k, len(selberg_roots(term.k, n)), u, float(p))
+        yield _term_bits(u, log_c, log_budget, width) or 53
+
+
+@pytest.mark.parametrize("n", [7, 1000, 13312, 184570, 10**6])
+def test_terms_and_sum_within_their_bounds_of_interval_enclosures(n):
+    # each term against an enclosure at its width + 64 bits, and the sum
+    # against the sum of the enclosures, within E = the terms' bounds plus
+    # 2 eps |S| for the one rounding of the sum; that rounding on its own
+    # against the exact sum of the computed terms
+    report = p_series(n)
+    low = high = 0
+    for term, bits in zip(report.terms, _term_widths(n, report)):
+        (r_low, r_high), _ = _enclosure(n, term.k, selberg_roots(term.k, n), bits + 64)
+        assert _off_by_at_most(term.r_k, (r_low, r_high), term.bound), (n, term.k)
+        low, high = low + r_low, high + r_high
+    assert _off_by_at_most(report.partial_sum, (low, high), report.float_error_bound)
+    # at these n the exact sum fits the working width, so mpf_sum rounds nothing
+    total = _fraction(report.partial_sum)
+    exact = sum(_fraction(term.r_k) for term in report.terms)
+    assert abs(total - exact) <= 2 * Fraction(2) ** (1 - report.prec - GUARD_BITS) * abs(total)
+
+
+def test_widest_terms_within_their_bounds_of_interval_enclosures():
+    # the head terms of n = 10^8 (37,071 bits by default_precision) run at
+    # 2^14 bits or more, wider than any other term the suite encloses
+    n = 10**8
+    report = p_series(n)
+    assert report.prec == 37071
+    for term, bits in zip(report.terms[:2], _term_widths(n, report)):
+        assert bits >= 2**14
+        (r_low, r_high), _ = _enclosure(n, term.k, selberg_roots(term.k, n), bits + 64)
+        assert _off_by_at_most(term.r_k, (r_low, r_high), term.bound), term.k
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024, 4096])
+def test_a_k_within_its_model_bound_of_interval_enclosures(bits):
+    # a_k at the context's width p = bits + GUARD_BITS is off by at most
+    # eps S sqrt(k/3) (6 pi + 6) to first order, eps = 2^(1 - p); the factor
+    # 2 absorbs the second-order terms, as in C_k
+    eps = Fraction(2) ** (1 - bits - GUARD_BITS)
+    ctx = PrecisionContext(bits)
+    for k, n in ((1, 7), (2, 7), (3, 2), (6, 4), (25, 24), (49, 47), (121, 116), (1000, 1000),
+                 (9999, 123457), (5**2 * 7**2 * 11**2, 6742)):
+        roots = selberg_roots(k, n)
+        _, ends = _enclosure(n, k, roots, bits + GUARD_BITS + 64)
+        bound = 2 * eps * len(roots) * Fraction(math.sqrt(k / 3) * (6 * math.pi + 6) * _ROUND_UP)
+        assert _off_by_at_most(a_k(k, n, ctx), ends, bound), (bits, k, n)
+
+
 def test_float_term_declines_where_exp_overflows():
     # alpha(10^6)/3 > 709.8: e^u is no float, so k = 3 never runs in floats, whatever its bound
     n = 10**6
@@ -506,6 +603,13 @@ def test_p_series_matches_exact_up_to_50000(exact_table):
     rng = random.Random(20261018)
     for n in sorted(rng.sample(range(15001, 50001), 4)):
         assert p_series(n).rounded == exact_table[n], n
+
+
+def test_p_exact_ramanujan_congruences_through_50000(exact_table):
+    # p(5j+4) = 0 mod 5, p(7j+5) = 0 mod 7, p(11j+6) = 0 mod 11 for every
+    # such n up to 5e4; 49999 = 5 * 9999 + 4 is the last of the first kind
+    for modulus, residue in ((5, 4), (7, 5), (11, 6)):
+        assert all(exact_table[n] % modulus == 0 for n in range(residue, 50_001, modulus)), modulus
 
 
 def test_p_series_wide_bounds_in_log_space():
