@@ -78,9 +78,6 @@ class PartitionCache:
     def max_n(self) -> int:
         return len(self._values) - 1
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __getitem__(self, n: int) -> int:
         # a negative n would count from the end of the list
         if n < 0:

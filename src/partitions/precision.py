@@ -9,8 +9,9 @@ arithmetic should run inside a context of their own if they need more than
 the ambient precision).
 A context carries a caller's choice of precision (``--prec``, or a library
 caller's); the certified series sets its own width from n and needs none.
-A context is a one-field named tuple that checks 64 <= bits <= ``MAX_BITS``
-on every construction path: the constructor, ``_make`` and ``_replace``.
+A context is a one-field named tuple that checks bits is an integer with
+64 <= bits <= ``MAX_BITS`` on every construction path: the constructor,
+``_make`` and ``_replace``.
 ``MAX_BITS`` is the one bound on a caller's width: at 4096 bits every
 ``--prec`` subcommand ends within 20 s on one vCPU and prints under the
 interpreter's default 4300-digit limit on int-to-str conversion.
@@ -19,6 +20,7 @@ interpreter's default 4300-digit limit on int-to-str conversion.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from mpmath import mp
 
@@ -36,6 +38,7 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
     __slots__ = ()
 
     def __new__(cls, bits: int = 128):
+        bits = index(bits)  # a float or Fraction width would reach libmp's integer code
         if bits < 64:
             raise ValueError(f"precision must be at least 64 bits, got {bits}")
         if bits > MAX_BITS:

@@ -158,8 +158,9 @@ def _alpha_float(n: int) -> float:
 
 
 def _check_n(n: int) -> None:
-    """Refuse n outside 1..``_MAX_N``, the one range of n that every series
-    function serves (the float bounds overflow from n ~ 10^308)."""
+    """Refuse n outside 1..``_MAX_N`` in ``default_precision``,
+    ``truncation_bound`` and ``r_k``, and through them in ``terms_needed``
+    and ``p_series`` (the float bounds overflow from n ~ 10^308)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > _MAX_N:

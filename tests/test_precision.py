@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -22,6 +24,22 @@ def test_bits_ceiling():
                   lambda: PrecisionContext._make([MAX_BITS + 1])):
         with pytest.raises(ValueError, match="^precision must be at most 4096 bits, got 4097$"):
             build()
+
+
+def test_bits_must_be_integral():
+    # a fractional width once reached libmp, whose integer code then failed
+    for bits in (100.5, Fraction(256)):
+        for build in (lambda: PrecisionContext(bits), lambda: DEFAULT_CONTEXT._replace(bits=bits),
+                      lambda: PrecisionContext._make([bits])):
+            with pytest.raises(TypeError):
+                build()
+
+    class Width:
+        def __index__(self):
+            return 256
+
+    context = PrecisionContext(Width())
+    assert context.bits == 256 and type(context.bits) is int
 
 
 def test_the_bits_ceiling_bounds_only_the_callers_choice(monkeypatch):
