@@ -98,9 +98,12 @@ def selberg_roots(k: int, n: int) -> list[int]:
     if k <= _TABLE_K:
         table = _root_tables.get(k)
         if table is None:
-            table = _root_tables[k] = [[] for _ in range(k)]
+            table = [[] for _ in range(k)]
             for l, residue in enumerate(_NEG_PENTAGONAL[:2 * k]):
                 table[residue % k].append(l)
+            # published only once whole, as another thread may read it at once;
+            # of two tables built at once, the first one published is kept
+            table = _root_tables.setdefault(k, table)
         return table[n % k][:]  # a copy, so that a caller cannot change the table
     low, high = [], []
     shift = k // 2 if k % 2 == 0 else 0  # f(l + k) - f(l) mod k

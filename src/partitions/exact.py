@@ -15,6 +15,7 @@ tables p(0..max_n) with a line-per-value text serialization.
 
 from __future__ import annotations
 
+import _thread
 import contextlib
 import itertools
 import os
@@ -174,9 +175,10 @@ def cache_save(cache: PartitionCache, path) -> None:
     """Write ``n,p(n)`` lines, ascending n, UTF-8 with LF endings.
 
     A temporary file next to ``path`` replaces it in one step, so a failed
-    or concurrent write never leaves a partial file.
+    or concurrent write never leaves a partial file.  The file is named for
+    the process and the thread, so no two live writers share one.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{_thread.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(f"{n},{v}\n" for n, v in enumerate(cache._values))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -153,6 +155,38 @@ def test_selberg_roots_cannot_change_a_table():
         assert selberg_roots(k, n) == selberg_roots(k, n + k) == _selberg_roots(k, n), (k, n)
         selberg_roots(k, n).clear()
         assert selberg_roots(k, n) == _selberg_roots(k, n), (k, n)
+
+
+def test_threads_read_only_whole_root_tables(monkeypatch):
+    # eight threads build the tables at once, switching every microsecond; a
+    # table another thread has yet to fill would give too few roots. Each
+    # thread asks for a root near 2k, which a table gets last
+    monkeypatch.setattr(dedekind, "_root_tables", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    got = []
+    start = threading.Barrier(8, timeout=60)
+
+    def ask(i):
+        start.wait()
+        for k in range(1, _TABLE_K + 1):
+            l = (2 * k - 1 - i) % (2 * k)
+            n = -(l * (3 * l + 1) // 2) % k
+            got.append((k, n, selberg_roots(k, n)))
+
+    try:
+        for _ in range(5):
+            dedekind._root_tables.clear()
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 5 * 8 * _TABLE_K
+    assert [(k, n, roots) for k, n, roots in got if roots != _selberg_roots(k, n)] == []
 
 
 def test_no_root_table_above_the_table_ceiling():

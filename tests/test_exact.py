@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import tempfile
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -279,34 +280,6 @@ def test_cache_round_trip_random(n_max):
         assert cache_load(path) == cache
 
 
-def test_cache_load_gap(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,1\n2,2\n")
-    with pytest.raises(CacheFormatError, match="line 2.*gap"):
-        cache_load(path)
-
-
-def test_cache_load_malformed(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,1\nx,2\n")
-    with pytest.raises(CacheFormatError, match="line 2"):
-        cache_load(path)
-
-
-def test_cache_load_out_of_order(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,1\n1,1\n1,1\n")
-    with pytest.raises(CacheFormatError, match="line 3"):
-        cache_load(path)
-
-
-def test_cache_load_missing_field(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,1\n1\n")
-    with pytest.raises(CacheFormatError, match="line 2"):
-        cache_load(path)
-
-
 def test_cache_load_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -347,18 +320,6 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
 
 
-def test_cache_load_truncated(tmp_path):
-    cache = PartitionCache()
-    cache.extend_to(20)
-    path = tmp_path / "p.csv"
-    cache_save(cache, path)
-    data = path.read_bytes()
-    # cut inside the last value: "20,627\n" -> "20,62", which would parse
-    path.write_bytes(data[:-2])
-    with pytest.raises(CacheFormatError, match="line 21.*truncated"):
-        cache_load(path)
-
-
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -384,6 +345,7 @@ def test_cache_load_upto_ignores_damage_past_it(tmp_path, damage, message):
 LINE_DAMAGE = {
     "truncated": (lambda n: [f"{n},{P_ORACLE[n]}"], lambda n: "truncated (no line end)"),
     "blank": (lambda n: ["\n"], lambda n: "expected 'n,p(n)'"),
+    "one_field": (lambda n: [f"{n}\n"], lambda n: "expected 'n,p(n)'"),
     "three_fields": (lambda n: [f"{n},{P_ORACLE[n]},1\n"], lambda n: "expected 'n,p(n)'"),
     "bad_n": (lambda n: [f"x{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "bad_value": (lambda n: [f"{n},{P_ORACLE[n]}.5\n"], lambda n: "malformed integer"),
@@ -407,10 +369,12 @@ def test_cache_load_messages(tmp_path, kind, n):
         del lines[n + 1:]
     path = tmp_path / "p.csv"
     path.write_text("".join(lines), newline="")
-    # reading through p(10) reads 11 lines, so n = 10 is on the last line read
-    with pytest.raises(CacheFormatError) as info:
-        cache_load(path, upto=10)
-    assert str(info.value) == f"{path}: line {n + 1}: {message(n)}"
+    # reading through p(10) reads 11 lines, so n = 10 is on the last line read;
+    # a whole read stops at the same line
+    for upto in (10, None):
+        with pytest.raises(CacheFormatError) as info:
+            cache_load(path, upto=upto)
+        assert str(info.value) == f"{path}: line {n + 1}: {message(n)}"
     if n:
         assert cache_load(path, upto=n - 1) == PartitionCache(P_ORACLE[:n])
 
@@ -480,3 +444,34 @@ def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
     assert cache_load(path) in tables.values()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
     assert loads > 0, "no load overlapped the writers"
+
+
+def test_threads_saving_one_path_never_expose_a_partial_file(tmp_path):
+    # threads of one process share its pid: each needs its own temporary file
+    path = tmp_path / "p.csv"
+    tables = [PartitionCache(P_ORACLE[: max_n + 1]) for max_n in (650, 1300)]
+    cache_save(tables[0], path)
+    errors = []
+
+    def save_in_loop(cache):
+        try:
+            for _ in range(30):
+                cache_save(cache, path)
+        except Exception as exc:
+            errors.append(exc)
+
+    writers = [threading.Thread(target=save_in_loop, args=(cache,)) for cache in tables]
+    for writer in writers:
+        writer.start()
+    loads = []
+    try:
+        deadline = time.monotonic() + 60
+        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+            loads.append(cache_load(path))
+    finally:
+        for writer in writers:
+            writer.join(timeout=60)
+    assert not any(w.is_alive() for w in writers)
+    assert errors == []
+    assert all(loaded in tables for loaded in loads)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
