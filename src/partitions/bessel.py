@@ -65,6 +65,8 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if not nu_f > -1:
             raise ValueError("nu must be greater than -1")
         if x == 0:
+            if nu_f < 0:
+                return mp.inf  # (x/2)^nu -> +inf as x -> 0+
             return mpf(1) if nu_f == 0 else mpf(0)
         half = x / 2
         if nu_f == 1.5:

@@ -86,15 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="p(n) by the pentagonal recurrence")
+    p.set_defaults(run=_cmd_exact)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("series", help="certified series evaluation of p(n), JSON report")
+    p.set_defaults(run=_cmd_series)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("asym", help="leading term L(n) and relative error")
+    p.set_defaults(run=_cmd_asym)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("table", help="error table as CSV")
+    p.set_defaults(run=_cmd_table)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set", choices=("paper",), dest="table_set",
                        help="the built-in reference grid 10..15000")
@@ -102,25 +106,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated n values")
 
     p = sub.add_parser("farey", help="Farey sequence of the given order as CSV")
+    p.set_defaults(run=_cmd_farey)
     p.add_argument("order", type=int, metavar="N")
 
     p = sub.add_parser("ford", help="w-plane chord data for the contour of order N as CSV")
+    p.set_defaults(run=_cmd_ford)
     p.add_argument("order", type=int, metavar="N")
 
     p = sub.add_parser("dedekind", help="exact Dedekind sum s(h,k) as num/den")
+    p.set_defaults(run=_cmd_dedekind)
     p.add_argument("h", type=int)
     p.add_argument("k", type=int)
 
     p = sub.add_parser("ak", help="A_k(n) as a decimal")
+    p.set_defaults(run=_cmd_ak)
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--prec", type=int, default=128)
 
     p = sub.add_parser("bessel", help="I_{3/2}(x) by series and closed form")
+    p.set_defaults(run=_cmd_bessel)
     p.add_argument("x")
     p.add_argument("--prec", type=int, default=128)
 
     p = sub.add_parser("verify", help="numerical checks of the transformation laws")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("what", choices=("eta", "ftransform"))
     p.add_argument("--samples", type=int, default=24)
     p.add_argument("--prec", type=int, default=128)
@@ -353,24 +363,10 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-_HANDLERS = {
-    "exact": _cmd_exact,
-    "series": _cmd_series,
-    "asym": _cmd_asym,
-    "table": _cmd_table,
-    "farey": _cmd_farey,
-    "ford": _cmd_ford,
-    "dedekind": _cmd_dedekind,
-    "ak": _cmd_ak,
-    "bessel": _cmd_bessel,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

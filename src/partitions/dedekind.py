@@ -28,12 +28,13 @@ instead of phi(k)/2.  The roots depend on n only through n mod k, so for
 k <= ``_TABLE_K`` they are read from a per-k table of every residue, built
 on first use; above it one pass over k residues finds them.  The floating
 sum over the roots, and the error model that counts its operations, live
-in :mod:`partitions.rademacher`; this module imports only ``math`` and
-``fractions``.
+in :mod:`partitions.rademacher`; this module imports only ``functools``,
+``math`` and ``fractions``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -45,8 +46,6 @@ _MAX_K = 10**7
 _TABLE_K = 128
 # -l(3l+1)/2 for l in [0, 2 _TABLE_K): mod k, the n mod k whose table entry holds l
 _NEG_PENTAGONAL = [-(l * (3 * l + 1) // 2) for l in range(2 * _TABLE_K)]
-# k -> its table: entry r lists the l in [0, 2k) with l(3l+1)/2 = -r (mod k), ascending
-_root_tables: dict[int, list[list[int]]] = {}
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -79,32 +78,34 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     return dedekind_sum(h, k) + dedekind_sum(k, h) - closed
 
 
+@functools.cache
+def _root_table(k: int) -> list[list[int]]:
+    """k's table, for 1 <= k <= ``_TABLE_K``: entry r lists the l in [0, 2k)
+    with l(3l+1)/2 = -r (mod k), ascending."""
+    table = [[] for _ in range(k)]
+    for l, residue in enumerate(_NEG_PENTAGONAL[:2 * k]):
+        table[residue % k].append(l)
+    return table
+
+
 def selberg_roots(k: int, n: int) -> list[int]:
     """The l in [0, 2k) with l(3l+1)/2 = -n (mod k), ascending: the
     summation indices of Selberg's formula for A_k(n); k above ``_MAX_K``
     = 10^7 is refused.
 
     For k <= ``_TABLE_K`` = 128 they are a copy of entry n mod k of k's
-    table, which is built on first use.  Above it, one pass over l in
-    [0, k) finds them all: with f(l) = l(3l+1)/2 + n,
-    f(l + k) = f(l) + k(3k+1)/2, which is f(l) + k/2 (mod k) for even k
-    and f(l) (mod k) for odd k.  So l + k is a root exactly when f(l) is
-    k/2 (even k) or 0 (odd k) mod k.
+    table, which is built on first use and stored by ``functools.cache``
+    only once whole.  Above it, one pass over l in [0, k) finds them all:
+    with f(l) = l(3l+1)/2 + n, f(l + k) = f(l) + k(3k+1)/2, which is
+    f(l) + k/2 (mod k) for even k and f(l) (mod k) for odd k.  So l + k is
+    a root exactly when f(l) is k/2 (even k) or 0 (odd k) mod k.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k > _MAX_K:
         raise ValueError(f"k must be at most {_MAX_K}")
     if k <= _TABLE_K:
-        table = _root_tables.get(k)
-        if table is None:
-            table = [[] for _ in range(k)]
-            for l, residue in enumerate(_NEG_PENTAGONAL[:2 * k]):
-                table[residue % k].append(l)
-            # published only once whole, as another thread may read it at once;
-            # of two tables built at once, the first one published is kept
-            table = _root_tables.setdefault(k, table)
-        return table[n % k][:]  # a copy, so that a caller cannot change the table
+        return _root_table(k)[n % k][:]  # a copy, so that a caller cannot change the table
     low, high = [], []
     shift = k // 2 if k % 2 == 0 else 0  # f(l + k) - f(l) mod k
     residue = n % k  # f(l) mod k, for l = 0, 1, ...

@@ -25,8 +25,8 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).  N is at
 least 20: below it the first term of Lehmer's T alone is at least 0.2556,
-and T(1, N) is larger still, so the search for N starts at 20; it doubles
-N and then bisects (:func:`terms_needed` says why that finds the smallest N).
+and T(1, N) is larger still, so the search for N starts at 20 and steps
+N up by one.
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
 which runs the same statements in hardware floats (:mod:`math`) or on
@@ -114,8 +114,8 @@ _LEHMER_C2 = math.pi * math.sqrt(2) / 75
 _ROUND_UP = 1 + 2.0**-32
 # the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
 _FLOAT_BITS = 51
-# the series functions refuse larger n, for time: one vCPU of a Xeon VM took 4.6 s at
-# 10^9 (117,106 working bits), most of it in selberg_roots' O(k) scans
+# the series functions refuse larger n, for time: 10^9 takes seconds (117,106 working
+# bits; README gives measured times), most of it in selberg_roots' O(k) scans
 _MAX_N = 10**9
 # the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
 _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
@@ -307,31 +307,12 @@ def truncation_bound(n: int, n_terms: int) -> float:
 
 
 def terms_needed(n: int) -> int:
-    """The smallest N with truncation_bound(n, N) < 1/4, by doubling N from
-    20 and then bisecting.
-
-    Bisection needs the float-evaluated T(n, N) to fall with N.  Exactly,
-    a step from N to N + 1 multiplies T by at most sqrt(N/(N + 1)), which
-    is at most 1 - 1/(2N + 2): N^(-1/2) falls by that factor; so does
-    sqrt(N) sinh(x/N), whose logarithmic derivative in N is
-    1/(2N) - (y/N) coth y <= -1/(2N) with y = x/N, as y coth y >= 1; and
-    cosh(a/(N + 1)) falls.  Every N searched is below 2^15 (at most twice
-    the answer, and N = 10364 at n = 10^9), so the drop is at least 2^-16,
-    far above the few-ulp error of the float evaluation, and T is +inf
-    (sinh overflowing) only below some N.  So T(n, N) < 1/4 is false below
-    the answer and true from it on, and bisection finds the N that a
-    step-by-step search would.
-    """
-    low, high = _FEWEST_TERMS - 1, _FEWEST_TERMS  # T(n, low) >= 1/4 (see above)
-    while truncation_bound(n, high) >= 0.25:
-        low, high = high, 2 * high
-    while high - low > 1:
-        middle = (low + high) // 2
-        if truncation_bound(n, middle) < 0.25:
-            high = middle
-        else:
-            low = middle
-    return high
+    """The smallest N with truncation_bound(n, N) < 1/4, by a walk up from
+    N = 20, below which T(n, N) >= 1/4 for every n."""
+    n_terms = _FEWEST_TERMS
+    while truncation_bound(n, n_terms) >= 0.25:
+        n_terms += 1
+    return n_terms
 
 
 def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | None:

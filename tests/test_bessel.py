@@ -14,6 +14,9 @@ GRID = ("0.1", "0.5", "1", "2", "5", "10", "30")
 def test_series_at_zero():
     assert bessel_i_series(Fraction(3, 2), 0, CTX) == 0
     assert bessel_i_series(0, 0, CTX) == 1
+    # I_nu(0) = +inf for -1 < nu < 0, as (x/2)^nu is
+    for nu in (Fraction(-1, 2), Fraction(-1, 3)):
+        assert bessel_i_series(nu, 0, CTX) == mp.inf == mp.besseli(mpf(nu.numerator) / nu.denominator, 0)
 
 
 def test_series_value_at_one():
@@ -44,7 +47,7 @@ def test_series_closed_agreement(ctx):
 def test_series_against_mpmath_reference():
     # external cross-check, including non-half-integer orders
     with CTX.workprec():
-        for nu in (0, 0.5, 1, 1.5, 2.75):
+        for nu in (-0.5, 0, 0.5, 1, 1.5, 2.75):
             for x in ("0.3", "2", "11"):
                 mine = bessel_i_series(nu, x, CTX)
                 ref = mp.besseli(mpf(nu), mpf(x))

@@ -157,11 +157,10 @@ def test_selberg_roots_cannot_change_a_table():
         assert selberg_roots(k, n) == _selberg_roots(k, n), (k, n)
 
 
-def test_threads_read_only_whole_root_tables(monkeypatch):
+def test_threads_read_only_whole_root_tables():
     # eight threads build the tables at once, switching every microsecond; a
     # table another thread has yet to fill would give too few roots. Each
     # thread asks for a root near 2k, which a table gets last
-    monkeypatch.setattr(dedekind, "_root_tables", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     got = []
@@ -176,7 +175,7 @@ def test_threads_read_only_whole_root_tables(monkeypatch):
 
     try:
         for _ in range(5):
-            dedekind._root_tables.clear()
+            dedekind._root_table.cache_clear()
             threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
             for thread in threads:
                 thread.start()
@@ -193,7 +192,7 @@ def test_no_root_table_above_the_table_ceiling():
     # p_series(10^7) needs N = 1250 terms: the tables stop at _TABLE_K, which
     # bounds their memory whatever n is asked for
     assert p_series(10**7).n_terms_used == 1250
-    assert set(dedekind._root_tables) == set(range(1, _TABLE_K + 1))
+    assert dedekind._root_table.cache_info().currsize == _TABLE_K
 
 
 def test_k_ceiling_refused_before_any_work(capsys):

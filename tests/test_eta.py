@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -6,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from partitions.eta import (
     conjugate_inverse,
     eta,
+    exp_i_pi_rational,
     generating_function,
     verify_eta,
     verify_f_transform,
@@ -188,8 +190,20 @@ def test_conjugate_inverse():
         H = conjugate_inverse(h, k)
         assert 1 <= H <= k
         assert (h * H) % k == (-1) % k
-    with pytest.raises(ValueError):
-        conjugate_inverse(2, 4)
+    for h, k in ((2, 4), (1, 0)):
+        with pytest.raises(ValueError):
+            conjugate_inverse(h, k)
+
+
+def test_exp_i_pi_rational():
+    # t is reduced mod 2 before evaluation, so t and t +- 2 give the same bits
+    with CTX.workprec():
+        eps = mp.eps
+        for t in (Fraction(1, 3), Fraction(-5, 7), Fraction(7, 2), Fraction(0)):
+            value = exp_i_pi_rational(t)
+            assert exp_i_pi_rational(t + 2) == value == exp_i_pi_rational(t - 2), t
+        assert abs(exp_i_pi_rational(Fraction(1, 2)) - 1j) <= eps
+        assert abs(exp_i_pi_rational(Fraction(1)) + 1) <= eps
 
 
 def test_verify_f_transform_cases():

@@ -242,6 +242,9 @@ def test_cache_constructor_validation():
         with pytest.raises(ValueError):
             PartitionCache(values)
     assert PartitionCache([1, 1.0, Fraction(2)]) == PartitionCache(iter([1, 1, 2]))
+    # a cache equals no list of the same values, and its repr names its largest n
+    assert PartitionCache([1, 1, 2]) != [1, 1, 2]
+    assert repr(PartitionCache([1, 1, 2])) == "PartitionCache(max_n=2)"
 
 
 def test_cache_extend_is_idempotent():
