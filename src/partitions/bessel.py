@@ -48,7 +48,7 @@ _CLOSED_MIN_X = mpf(2) ** -4096
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Power-series I_nu(x) for 0 <= x <= 10^5, nu > -1.
+    """Power-series I_nu(x) for 0 <= x <= 10^5, finite nu > -1.
 
     Parameters
     ----------
@@ -62,8 +62,9 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         if not 0 <= x <= _SERIES_MAX_X:
             raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
         nu_f = mpf(nu.numerator) / nu.denominator if isinstance(nu, Fraction) else mpf(nu)
-        if not nu_f > -1:
-            raise ValueError("nu must be greater than -1")
+        # the stop test never passes at nu = +inf
+        if not -1 < nu_f < mp.inf:
+            raise ValueError("nu must be finite and greater than -1")
         if x == 0:
             if nu_f < 0:
                 return mp.inf  # (x/2)^nu -> +inf as x -> 0+

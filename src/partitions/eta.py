@@ -55,9 +55,11 @@ def exp_i_pi_rational(t: Fraction) -> mpc:
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """F(x) = prod_{m>=1} 1/(1 - x^m) for |x| <= exp(-2 pi 10^-5) (real or complex)."""
+    """F(x) = prod_{m>=1} 1/(1 - x^m) for finite |x| <= exp(-2 pi 10^-5) (real or complex)."""
     with ctx.workprec():
         x = mpmathify(x)
+        if not mp.isfinite(x):  # nan passes every comparison below
+            raise ValueError("x must be finite")
         if abs(x) >= 1:
             raise ValueError("generating product diverges for |x| >= 1")
         if abs(x) > mp.exp(-2 * mp.pi * _IM_TAU_FLOOR):
@@ -67,9 +69,11 @@ def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     """Dedekind eta, exp(pi i tau/12) times Euler's function of exp(2 pi i tau),
-    for Im tau >= 10^-5."""
+    for finite tau with Im tau >= 10^-5."""
     with ctx.workprec():
         tau = mpc(tau)
+        if not mp.isfinite(tau):  # nan passes every comparison below
+            raise ValueError("tau must be finite")
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
         if tau.imag < _IM_TAU_FLOOR:

@@ -189,31 +189,6 @@ def cache_save(cache: PartitionCache, path) -> None:
         raise
 
 
-def _line_error(path, lineno: int, raw: str) -> CacheFormatError:
-    """The error for a cache line that failed :func:`cache_load`'s fast test:
-    the first of its checks, in order, that the line fails."""
-    if not raw.endswith("\n"):
-        return CacheFormatError(f"{path}: line {lineno}: truncated (no line end)")
-    line = raw.strip()
-    if not line or line.count(",") != 1:
-        return CacheFormatError(f"{path}: line {lineno}: expected 'n,p(n)'")
-    left, right = line.split(",")
-    try:
-        n, v = int(left), int(right)
-    except ValueError:
-        return CacheFormatError(f"{path}: line {lineno}: malformed integer")
-    expected = lineno - 1
-    if n > expected:
-        return CacheFormatError(
-            f"{path}: line {lineno}: gap in n (expected {expected}, found {n})"
-        )
-    if n < expected:
-        return CacheFormatError(
-            f"{path}: line {lineno}: n out of order (expected {expected}, found {n})"
-        )
-    return CacheFormatError(f"{path}: line {lineno}: p(n) must be positive")
-
-
 def cache_load(path, upto: int | None = None) -> PartitionCache:
     """Read a cache file, validating order, contiguity and integer syntax.
 
@@ -221,8 +196,9 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
     so damage further on goes unseen; a result with ``max_n < upto`` means
     the whole file was read.
 
-    Each line gets one combined test; only a line that fails it is checked
-    again, step by step, by :func:`_line_error` for the message.
+    Each line is parsed once.  A line that fails the combined test is named
+    for the first rule it breaks, in order: a line end, the 'n,p(n)' shape
+    and integer syntax, then n, then p(n) >= 1.
     """
     values = []
     append = values.append
@@ -237,7 +213,16 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
             except ValueError:
                 n = None
             if n != expected or v < 1 or raw[-1] != "\n":
-                raise _line_error(path, expected + 1, raw)
+                if raw[-1] != "\n":
+                    problem = "truncated (no line end)"
+                elif n is None:
+                    problem = "expected 'n,p(n)'" if raw.count(",") != 1 else "malformed integer"
+                elif n != expected:
+                    order = "gap in n" if n > expected else "n out of order"
+                    problem = f"{order} (expected {expected}, found {n})"
+                else:
+                    problem = "p(n) must be positive"
+                raise CacheFormatError(f"{path}: line {expected + 1}: {problem}")
             append(v)
     if not values:
         raise CacheFormatError(f"{path}: empty cache file")

@@ -107,6 +107,11 @@ def test_input_validation():
             bessel_i_series(Fraction(3, 2), x, CTX)
         with pytest.raises(ValueError):
             bessel_i_3_2_closed(x, CTX)
+    # nor for nu = +inf, where term and total stay 0; at x = 0 it would return 0
+    for nu in ("inf", mpf("inf"), float("inf"), "nan"):
+        for x in (1, 0):
+            with pytest.raises(ValueError, match="finite"):
+                bessel_i_series(nu, x, CTX)
 
 
 @pytest.mark.parametrize("bits", [100, MAX_BITS])

@@ -33,6 +33,10 @@ def test_generating_function_rejects_big_arguments():
         generating_function(mpf("1.5"), CTX)
     with pytest.raises(ValueError):
         generating_function(mpc(0.8, 0.7), CTX)
+    # nan passes every comparison, and would end in mpmath's NoConvergence
+    for x in (mpf("nan"), mpc(0, "nan"), mpf("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            generating_function(x, CTX)
 
 
 def _product_coefficients(degree):
@@ -141,6 +145,9 @@ def test_eta_rejects_lower_half_plane():
         eta(mpc(0, -1), CTX)
     with pytest.raises(ValueError):
         eta(mpf(2), CTX)
+    for tau in (mpc("nan", 1), mpc(0, "nan"), mpc("inf", 1), mpc(0, "inf")):
+        with pytest.raises(ValueError, match="finite"):
+            eta(tau, CTX)
 
 
 def test_verify_eta_inversion_at_i():
@@ -172,6 +179,8 @@ def test_verify_eta_rejects_bad_inputs():
         verify_eta((1, 1, 1, 1), mpc(0, 1), CTX)  # det 0
     with pytest.raises(ValueError):
         verify_eta((0, -1, 1, 0), mpc(0, -2), CTX)
+    with pytest.raises(ValueError, match="finite"):
+        verify_eta((1, 0, 1, 1), mpc("inf", 1), CTX)
 
 
 def test_verify_eta_residual_shrinks_with_precision():
@@ -222,6 +231,8 @@ def test_verify_f_transform_rejects_bad_inputs():
         verify_f_transform(2, 4, mpf(1), CTX)
     with pytest.raises(ValueError):
         verify_f_transform(5, 3, mpf(1), CTX)
+    with pytest.raises(ValueError, match="finite"):
+        verify_f_transform(1, 1, mpc(1, "inf"), CTX)
     for k in (0, -1):  # no 1 <= h <= k exists
         with pytest.raises(ValueError, match="need 1 <= h <= k"):
             verify_f_transform(1, k, mpf(1), CTX)

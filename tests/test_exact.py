@@ -359,6 +359,11 @@ LINE_DAMAGE = {
     ),
     "zero": (lambda n: [f"{n},0\n"], lambda n: "p(n) must be positive"),
     "negative": (lambda n: [f"{n},-{P_ORACLE[n]}\n"], lambda n: "p(n) must be positive"),
+    # two faults on one line: the rule named is the first broken, in the order above
+    "truncated_bad_value": (lambda n: [f"{n},x"], lambda n: "truncated (no line end)"),
+    "three_fields_bad_value": (lambda n: [f"{n},x,1\n"], lambda n: "expected 'n,p(n)'"),
+    "repeated_n_bad_value": (lambda n: [f"{n - 1},x\n"], lambda n: "malformed integer"),
+    "gap_zero": (lambda n: [f"{n + 1},0\n"], lambda n: f"gap in n (expected {n}, found {n + 1})"),
 }
 
 
@@ -368,7 +373,7 @@ def test_cache_load_messages(tmp_path, kind, n):
     damage, message = LINE_DAMAGE[kind]
     lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
     lines[n:n + 1] = damage(n)
-    if kind == "truncated":
+    if not lines[n].endswith("\n"):  # a line with no line end is the file's last
         del lines[n + 1:]
     path = tmp_path / "p.csv"
     path.write_text("".join(lines), newline="")
