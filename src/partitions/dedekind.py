@@ -29,13 +29,14 @@ k <= ``_TABLE_K`` they are read from a per-k table of every residue, built
 on first use; above it one pass over k residues finds them.  The floating
 sum over the roots, and the error model that counts its operations, live
 in :mod:`partitions.rademacher`; this module imports only ``functools``,
-``math`` and ``fractions``.
+``math``, ``operator`` and ``fractions``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 # selberg_roots refuses larger k: above _TABLE_K it scans k residues, which took
@@ -100,6 +101,8 @@ def selberg_roots(k: int, n: int) -> list[int]:
     f(l) + k/2 (mod k) for even k and f(l) (mod k) for odd k.  So l + k is
     a root exactly when f(l) is k/2 (even k) or 0 (odd k) mod k.
     """
+    # a float or Fraction raises TypeError: n = 3.5 would find no roots
+    k, n = operator.index(k), operator.index(n)
     if k < 1:
         raise ValueError("k must be a positive integer")
     if k > _MAX_K:

@@ -119,6 +119,10 @@ def test_a_k_input_validation():
         a_k(0, 5, CTX)
     with pytest.raises(ValueError):
         a_k(3, 0, CTX)
+    # a non-integral n is refused, not read as one with no Selberg roots
+    for k, n in ((200, 3.5), (5, 3.0), (200, Fraction(7, 2))):
+        with pytest.raises(TypeError):
+            a_k(k, n, CTX)
 
 
 def test_selberg_roots_solve_the_congruence():

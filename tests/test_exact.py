@@ -1,9 +1,9 @@
+import _thread
 import json
 import multiprocessing
 import os
 import tempfile
 import threading
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -414,72 +414,110 @@ def test_cache_load_negative_upto_reads_line_0(tmp_path):
         cache_load(path, upto=-1)
 
 
-def _save_in_loop(max_n, path, rounds):
-    cache = PartitionCache()
-    cache.extend_to(max_n)
-    for _ in range(rounds):
-        cache_save(cache, path)
+# every wait in the race test: a writer that never gets to its stop fails the
+# test instead of hanging it
+_WAIT_S = 30
+# the calling writer's two stops: ``half``, with half of its table handed to
+# its temporary file, and ``whole``, with that file written, before os.replace
+_STOPS = threading.local()
 
 
-def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
+class _Stop:
+    """A point where a writer waits for the test: the writer sets ``reached``
+    and waits for ``resume``."""
+
+    def __init__(self, event):
+        self.reached, self.resume = event(), event()
+
+    def pause(self):
+        self.reached.set()
+        if not self.resume.wait(_WAIT_S):
+            raise TimeoutError("the test never let the writer go on")
+
+
+class _PausingList(list):
+    """A table whose iteration stops at ``_STOPS.half`` halfway through."""
+
+    def __iter__(self):
+        for i, v in enumerate(list.__iter__(self)):
+            if i == len(self) // 2:
+                _STOPS.half.pause()
+            yield v
+
+
+def _replace_at_stop(src, dst, replace=os.replace):
+    _STOPS.whole.pause()
+    replace(src, dst)
+
+
+def _write(max_n, path, stops):
+    """``cache_save`` p(0..max_n) to ``path``, pausing at both ``stops``."""
+    _STOPS.half, _STOPS.whole = stops
+    cache = PartitionCache(P_ORACLE[: max_n + 1])
+    cache._values = _PausingList(cache._values)
+    cache_save(cache, path)
+
+
+def _write_in_process(max_n, path, stops):
+    # one thread ident in every writer: only the pid keeps their temporary names apart
+    _thread.get_ident = lambda: 0
+    os.replace = _replace_at_stop
+    _write(max_n, path, stops)
+
+
+@pytest.mark.parametrize("kind", ["process", "thread"])
+def test_two_writers_never_expose_a_partial_file(kind, tmp_path, monkeypatch):
+    # Writers a and b save p(0..600) and p(0..1200) over p(0..300) in a fixed
+    # order.  Each stops with half of its table handed to its temporary file,
+    # then with that file written, and the test loads the cache at every stop
+    # and after each replace.  Writing in place fails the first load.  A
+    # temporary name that both writers share makes a's replace publish a file
+    # that b also wrote, and b's replace find no file.  Spawned processes
+    # share a pinned thread ident, so they catch a name without the pid;
+    # threads share one pid, so they catch a name without the thread ident.
     path = tmp_path / "p.csv"
-    tables = {}
-    for max_n in (300, 600):
-        tables[max_n] = PartitionCache()
-        tables[max_n].extend_to(max_n)
-    spawn = multiprocessing.get_context("spawn")
-    writers = [
-        spawn.Process(target=_save_in_loop, args=(max_n, str(path), 300)) for max_n in tables
+    cache_save(PartitionCache(P_ORACLE[:301]), path)
+    if kind == "process":
+        spawn = multiprocessing.get_context("spawn")
+        event, writer, target = spawn.Event, spawn.Process, _write_in_process
+    else:
+        monkeypatch.setattr(os, "replace", _replace_at_stop)
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+        event, writer, target = threading.Event, threading.Thread, _write
+    sizes = (600, 1200)
+    stops = [(_Stop(event), _Stop(event)) for _ in sizes]
+    a, b = writers = [writer(target=target, args=(m, str(path), s)) for m, s in zip(sizes, stops)]
+    (a_half, a_whole), (b_half, b_whole) = stops
+    # each step lets one writer go on, then waits for it at its next stop or its end
+    schedule = [
+        (a.start, a_half),
+        (b.start, b_half),
+        (a_half.resume.set, a_whole),
+        (b_half.resume.set, b_whole),
+        (a_whole.resume.set, a),
+        (b_whole.resume.set, b),
     ]
-    for writer in writers:
-        writer.start()
-    loads = 0
-    try:
-        deadline = time.monotonic() + 60
-        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
-            try:
-                loaded = cache_load(path)
-            except FileNotFoundError:
-                continue
-            assert loaded == tables.get(loaded.max_n), loaded.max_n
-            loads += 1
-    finally:
-        for writer in writers:
-            writer.join(timeout=60)
-            if writer.is_alive():
-                writer.kill()
-    assert [w.exitcode for w in writers] == [0, 0]
-    assert cache_load(path) in tables.values()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
-    assert loads > 0, "no load overlapped the writers"
-
-
-def test_threads_saving_one_path_never_expose_a_partial_file(tmp_path):
-    # threads of one process share its pid: each needs its own temporary file
-    path = tmp_path / "p.csv"
-    tables = [PartitionCache(P_ORACLE[: max_n + 1]) for max_n in (650, 1300)]
-    cache_save(tables[0], path)
-    errors = []
-
-    def save_in_loop(cache):
-        try:
-            for _ in range(30):
-                cache_save(cache, path)
-        except Exception as exc:
-            errors.append(exc)
-
-    writers = [threading.Thread(target=save_in_loop, args=(cache,)) for cache in tables]
-    for writer in writers:
-        writer.start()
+    expected = [PartitionCache(P_ORACLE[: m + 1]) for m in (300, 300, 300, 300, 600, 1200)]
     loads = []
     try:
-        deadline = time.monotonic() + 60
-        while any(w.is_alive() for w in writers) and time.monotonic() < deadline:
+        for go, then in schedule:
+            go()
+            if isinstance(then, _Stop):
+                assert then.reached.wait(_WAIT_S), f"no writer reached step {len(loads) + 1}"
+            else:
+                then.join(_WAIT_S)
+                assert not then.is_alive(), f"a writer outlived step {len(loads) + 1}"
             loads.append(cache_load(path))
+            assert loads == expected[: len(loads)]
     finally:
-        for writer in writers:
-            writer.join(timeout=60)
-    assert not any(w.is_alive() for w in writers)
-    assert errors == []
-    assert all(loaded in tables for loaded in loads)
+        for stop in (a_half, a_whole, b_half, b_whole):
+            stop.resume.set()
+        for w in writers:
+            if w.is_alive():
+                w.join(_WAIT_S)
+    if kind == "process":
+        assert [w.exitcode for w in writers] == [0, 0]
+    else:
+        assert errors == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]

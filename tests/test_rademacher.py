@@ -141,6 +141,8 @@ def test_p_series_precision_robustness(monkeypatch):
 def test_p_series_validation():
     with pytest.raises(ValueError):
         p_series(0)
+    with pytest.raises(TypeError):
+        p_series(100.0)
 
 
 def test_low_precision_raises_instead_of_guessing(monkeypatch):
