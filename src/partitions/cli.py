@@ -55,15 +55,19 @@ def _unlimited_int_str():
     interpreter's limit (4300 digits by default, since Python 3.10.7)
     again after it: the series report prints p(n) and mpf terms of more
     digits from n ~ 1.6e7.  The --prec subcommands need no lift, as a
-    context carries at most 4096 + 16 bits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
+    context carries at most 4096 + 16 bits.  The block holds ``STATE_LOCK``,
+    so no other thread lifts or restores the limit while it runs."""
+    from .precision import STATE_LOCK
+
+    with STATE_LOCK:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,13 +293,11 @@ def _cmd_bessel(args) -> int:
 
 
 def eta_verification_cases(count: int):
-    """Deterministic (matrix, tau) stream: determinant-1 matrices with c > 0."""
+    """Deterministic (matrix, tau) stream: determinant-1 matrices with c > 0.
+    Each tau comes from float literals: the same at any mpmath precision >= 53 bits."""
     from mpmath import mpc
 
-    taus = (
-        mpc(0, 1), mpc("0.3", "0.8"), mpc("-0.25", "1.1"),
-        mpc("0.5", "0.6"), mpc("0.7", "1.4"), mpc("-0.4", "0.9"),
-    )
+    taus = (mpc(0, 1), mpc(0.3, 0.8), mpc(-0.25, 1.1), mpc(0.5, 0.6), mpc(0.7, 1.4), mpc(-0.4, 0.9))
     cases = []
     for j in range(count):
         c = j % 6 + 1
@@ -309,13 +311,10 @@ def eta_verification_cases(count: int):
 
 
 def f_transform_cases(count: int):
-    """Deterministic (h, k, z) stream with Re z > 0."""
+    """Deterministic (h, k, z) stream with Re z > 0; z exact, as tau above."""
     from mpmath import mpc
 
-    zs = (
-        mpc(1), mpc("0.5"), mpc(1, "0.4"), mpc("0.8", "-0.3"),
-        mpc("1.3", "0.2"), mpc("0.6"), mpc("0.9", "0.7"),
-    )
+    zs = (mpc(1), mpc(0.5), mpc(1, 0.4), mpc(0.8, -0.3), mpc(1.3, 0.2), mpc(0.6), mpc(0.9, 0.7))
     cases = []
     for j in range(count):
         k = j % 6 + 1

@@ -48,10 +48,11 @@ from .precision import DEFAULT_CONTEXT, PrecisionContext
 _IM_TAU_FLOOR = 1e-5
 
 
-def exp_i_pi_rational(t: Fraction) -> mpc:
+def exp_i_pi_rational(t: Fraction, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     """exp(i*pi*t) for exact rational t, reduced mod 2 before evaluation."""
     t %= 2
-    return mp.expjpi(mpf(t.numerator) / t.denominator)
+    with ctx.workprec():
+        return mp.expjpi(mpf(t.numerator) / t.denominator)
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -103,7 +104,7 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
         image = (a * tau + b) / (c * tau + d)
         lhs = eta(image, ctx)
         phase = Fraction(a + d, 12 * c) + dedekind_sum(-d, c)
-        rhs = exp_i_pi_rational(phase) * mp.sqrt(-1j * (c * tau + d)) * eta(tau, ctx)
+        rhs = exp_i_pi_rational(phase, ctx) * mp.sqrt(-1j * (c * tau + d)) * eta(tau, ctx)
         residual = abs(lhs - rhs)
     return EtaCheckReport((a, b, c, d), tau, lhs, rhs, residual)
 
@@ -132,7 +133,7 @@ def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEX
         w_far = mp.exp(2j * mp.pi * H / k - 2 * mp.pi / z)
         lhs = generating_function(w, ctx)
         rhs = (
-            exp_i_pi_rational(dedekind_sum(h, k))
+            exp_i_pi_rational(dedekind_sum(h, k), ctx)
             * mp.sqrt(z / k)
             * mp.exp(mp.pi / (12 * z) - mp.pi * z / (12 * k * k))
             * generating_function(w_far, ctx)

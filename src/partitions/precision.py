@@ -3,6 +3,9 @@
 A :class:`PrecisionContext` is a checked width and nothing more: it pins the
 working precision in bits; functions returning mpmath values compute inside
 ``with ctx.workprec():`` and own their stop rules and input conversions.
+``workprec``, the one writer of mpmath's process-wide precision, holds the
+re-entrant ``STATE_LOCK`` for its whole block, so threads' blocks run one at a
+time; mpmath is pure Python under the GIL, so that loses no parallelism.
 mpmath values are immutable and keep the precision they were computed at,
 so results can be mixed freely afterwards (comparisons and follow-up
 arithmetic should run inside a context of their own if they need more than
@@ -19,7 +22,9 @@ interpreter's default 4300-digit limit on int-to-str conversion.
 
 from __future__ import annotations
 
+import threading
 from collections import namedtuple
+from contextlib import contextmanager
 from operator import index
 
 from mpmath import mp
@@ -30,6 +35,9 @@ GUARD_BITS = 16
 
 # the widest context a caller may ask for, so that a --prec runs for a bounded time
 MAX_BITS = 2**12
+
+# held around each write of process-wide state: mpmath's precision, the int-to-str limit
+STATE_LOCK = threading.RLock()
 
 
 class PrecisionContext(namedtuple("PrecisionContext", "bits")):
@@ -49,9 +57,11 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
     def _make(cls, iterable):  # namedtuple's own, which _replace calls, skips __new__
         return cls(*iterable)
 
+    @contextmanager
     def workprec(self):
-        """mpmath context manager running at ``bits + GUARD_BITS`` precision."""
-        return mp.workprec(self.bits + GUARD_BITS)
+        """Run the block at ``bits + GUARD_BITS`` precision, holding ``STATE_LOCK``."""
+        with STATE_LOCK, mp.workprec(self.bits + GUARD_BITS):
+            yield
 
 
 DEFAULT_CONTEXT = PrecisionContext(128)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import launch
+from schedule import run_a_then_b
 from partitions import cli
 from partitions.exact import cache_load
 from partitions.rademacher import p_series
@@ -41,6 +42,35 @@ def test_series_prints_past_the_int_str_limit(capsys):
         residue = (residue * 10 + int(digit)) % 2**64
     assert residue == row["mod_2_64"]
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_two_series_threads_each_lift_the_int_str_limit(capsys, monkeypatch):
+    # Thread a stops inside its lifted block, at its first mp.nstr; then
+    # thread b prints the same report.  If b's block could start then, b
+    # would find the limit already lifted and lift and restore nothing, and
+    # a's restore would make b's str(p(n)) raise.  One lock around the block
+    # makes b wait for a's whole block instead.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    from mpmath import mp
+
+    report = p_series(17782794)  # p(n) has 4690 digits
+    monkeypatch.setattr("partitions.rademacher.p_series", lambda n: report)
+
+    def series():
+        return cli.main(["series", "17782794"])
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        codes = run_a_then_b(monkeypatch, mp, "nstr", series, series)
+        assert codes == (0, 0)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    first, second = out.splitlines()
+    assert first == second and len(json.loads(first)["rounded"]) == 4690 and err == ""
 
 
 def test_ak_prints_past_the_int_str_limit(capsys):

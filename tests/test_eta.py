@@ -215,6 +215,17 @@ def test_exp_i_pi_rational():
         assert abs(exp_i_pi_rational(Fraction(1)) + 1) <= eps
 
 
+def test_exp_i_pi_rational_runs_at_its_context_width():
+    # the ambient precision, which another thread may have set, changes no bit
+    t = Fraction(-5, 7)
+    values = []
+    for prec in (53, 300):
+        with mp.workprec(prec):
+            values.append(exp_i_pi_rational(t, CTX256)._mpc_)
+    assert values[0] == values[1]
+    assert exp_i_pi_rational(t)._mpc_ == exp_i_pi_rational(t, CTX)._mpc_
+
+
 def test_verify_f_transform_cases():
     assert verify_f_transform(1, 1, mpf(1), CTX) < mpf(10) ** -10
     assert verify_f_transform(1, 2, mpf("0.5"), CTX) < mpf(10) ** -10

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schedule import WAIT_S, Stop
+
 from partitions.exact import (
     CacheFormatError,
     ORACLE_LIMIT,
@@ -414,25 +416,9 @@ def test_cache_load_negative_upto_reads_line_0(tmp_path):
         cache_load(path, upto=-1)
 
 
-# every wait in the race test: a writer that never gets to its stop fails the
-# test instead of hanging it
-_WAIT_S = 30
 # the calling writer's two stops: ``half``, with half of its table handed to
 # its temporary file, and ``whole``, with that file written, before os.replace
 _STOPS = threading.local()
-
-
-class _Stop:
-    """A point where a writer waits for the test: the writer sets ``reached``
-    and waits for ``resume``."""
-
-    def __init__(self, event):
-        self.reached, self.resume = event(), event()
-
-    def pause(self):
-        self.reached.set()
-        if not self.resume.wait(_WAIT_S):
-            raise TimeoutError("the test never let the writer go on")
 
 
 class _PausingList(list):
@@ -486,7 +472,7 @@ def test_two_writers_never_expose_a_partial_file(kind, tmp_path, monkeypatch):
         monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
         event, writer, target = threading.Event, threading.Thread, _write
     sizes = (600, 1200)
-    stops = [(_Stop(event), _Stop(event)) for _ in sizes]
+    stops = [(Stop(event), Stop(event)) for _ in sizes]
     a, b = writers = [writer(target=target, args=(m, str(path), s)) for m, s in zip(sizes, stops)]
     (a_half, a_whole), (b_half, b_whole) = stops
     # each step lets one writer go on, then waits for it at its next stop or its end
@@ -503,10 +489,10 @@ def test_two_writers_never_expose_a_partial_file(kind, tmp_path, monkeypatch):
     try:
         for go, then in schedule:
             go()
-            if isinstance(then, _Stop):
-                assert then.reached.wait(_WAIT_S), f"no writer reached step {len(loads) + 1}"
+            if isinstance(then, Stop):
+                assert then.reached.wait(WAIT_S), f"no writer reached step {len(loads) + 1}"
             else:
-                then.join(_WAIT_S)
+                then.join(WAIT_S)
                 assert not then.is_alive(), f"a writer outlived step {len(loads) + 1}"
             loads.append(cache_load(path))
             assert loads == expected[: len(loads)]
@@ -515,7 +501,7 @@ def test_two_writers_never_expose_a_partial_file(kind, tmp_path, monkeypatch):
             stop.resume.set()
         for w in writers:
             if w.is_alive():
-                w.join(_WAIT_S)
+                w.join(WAIT_S)
     if kind == "process":
         assert [w.exitcode for w in writers] == [0, 0]
     else:

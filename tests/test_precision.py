@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpc
+
+from schedule import run_a_then_b
 
 from partitions import rademacher
+from partitions.asymptotics import leading_term
+from partitions.bessel import bessel_i_series
+from partitions.eta import eta
 from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext
 
 
@@ -64,3 +69,23 @@ def test_workprec_scopes_precision():
         assert mp.prec == 216  # bits + guard
     assert mp.prec == before
 
+
+
+@pytest.mark.parametrize("function, args, stop_at", [
+    (leading_term, (5000,), "exp"),
+    (eta, (mpc(0.3, 0.8),), "qp"),
+    (bessel_i_series, (Fraction(3, 2), 20), "sqrt"),
+], ids=["leading_term", "eta", "bessel_i_series"])
+def test_two_threads_each_compute_at_their_own_width(function, args, stop_at, monkeypatch):
+    # Thread a stops inside its block at 4096 bits, where its body calls
+    # mp.<stop_at>; then thread b runs at 64 bits.  If b's block could start
+    # then, b would set 80 bits under a, and a's exit would restore 53 under
+    # b, so both results would be wrong.  workprec's lock makes b wait for
+    # a's whole block instead.
+    wide, narrow = PrecisionContext(4096), PrecisionContext(64)
+    expected = function(*args, wide), function(*args, narrow)
+    before = mp.prec
+    results = run_a_then_b(monkeypatch, mp, stop_at,
+                           lambda: function(*args, wide), lambda: function(*args, narrow))
+    assert results == expected
+    assert mp.prec == before
