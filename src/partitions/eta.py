@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, mpmathify
@@ -92,7 +93,7 @@ class EtaCheckReport(NamedTuple):
 
 def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheckReport:
     """Two-sided evaluation of the eta transformation law for one case."""
-    a, b, c, d = matrix
+    a, b, c, d = map(index, matrix)
     if a * d - b * c != 1:
         raise ValueError("matrix must have determinant 1")
     if c <= 0:

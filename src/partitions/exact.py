@@ -19,7 +19,7 @@ import _thread
 import contextlib
 import itertools
 import os
-from operator import sub
+from operator import index, sub
 from typing import NamedTuple
 
 # the quadratic-time DP oracle is only meant for cross-checking
@@ -38,6 +38,7 @@ class PentagonalPair(NamedTuple):
 
 def pentagonal(k: int) -> PentagonalPair:
     """The pentagonal pair (w1(k), w2(k)) = ((3k^2-k)/2, (3k^2+k)/2)."""
+    k = index(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     w1 = (3 * k * k - k) // 2
@@ -65,10 +66,7 @@ class PartitionCache:
     """
 
     def __init__(self, values=None):
-        values = [1] if values is None else list(values)
-        if any(v % 1 for v in values):  # else int() would truncate 1.9 to 1 (and nan % 1 is nan)
-            raise ValueError("partition values must be integers")
-        vals = [int(v) for v in values]
+        vals = [1] if values is None else [index(v) for v in values]
         if not vals or vals[0] != 1:
             raise ValueError("cache must start with p(0) = 1")
         if any(v < 1 for v in vals):
@@ -80,10 +78,12 @@ class PartitionCache:
         return len(self._values) - 1
 
     def __getitem__(self, n: int) -> int:
-        # a negative n would count from the end of the list
-        if n < 0:
+        if n < 0:  # a negative n would count from the end of the list
             raise IndexError(f"no p({n}) in the table: n must be nonnegative")
-        return self._values[n]
+        try:
+            return self._values[n]
+        except IndexError:
+            raise IndexError(f"no p({n}) in the table: max_n is {self.max_n}") from None
 
     def __eq__(self, other):
         if not isinstance(other, PartitionCache):
@@ -95,7 +95,7 @@ class PartitionCache:
 
     def extend_to(self, n: int) -> None:
         """Run the pentagonal recurrence until p(n) is in the table; n above
-        ``_MAX_N`` = 10^5 is refused.
+        ``_MAX_N`` = 10^5 is refused, and a refused n leaves the table unchanged.
 
         The offsets w <= m change only when m reaches the next generalised
         pentagonal number.  Each offset gets one iterator over the live
@@ -107,6 +107,7 @@ class PartitionCache:
         where the next run reads first.  Each p(m) is two C-level sums, one
         per sign, with no Python bytecode per term and no copy of the table.
         """
+        n = index(n)
         if n > _MAX_N:
             raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
         vals = self._values
@@ -139,11 +140,11 @@ def _iter_at(seq: list, i: int):
 
 
 def p_exact(n: int, cache: PartitionCache | None = None) -> int:
-    """p(n) by the pentagonal recurrence, extending ``cache`` through n."""
+    """p(n) by the pentagonal recurrence, extending ``cache`` through n; a refused n leaves it unchanged."""
+    n = index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cache is None:
-        cache = PartitionCache()
+    cache = PartitionCache() if cache is None else cache
     cache.extend_to(n)
     return cache[n]
 
@@ -155,6 +156,7 @@ def partition_table_dp(n_max: int) -> list[int]:
     product; O(n^2) big-integer additions overall.  Independent of the
     recurrence path on purpose.
     """
+    n_max = index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > ORACLE_LIMIT:
@@ -202,7 +204,7 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
     """
     values = []
     append = values.append
-    stop = None if upto is None else max(upto, 0) + 1
+    stop = None if upto is None else max(index(upto), 0) + 1
     with open(path, encoding="utf-8") as fh:
         for expected, raw in enumerate(itertools.islice(fh, stop)):
             # a second comma ends up in ``right`` and a missing one leaves it

@@ -29,6 +29,7 @@ convergence of the series evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 # farey_sequence refuses larger orders: |F_N| grows as 3N^2/pi^2, and on a
@@ -77,6 +78,7 @@ class WChord(NamedTuple):
 def farey_sequence(order: int) -> list[Fraction]:
     """F_order in ascending order, by the next-term rule from 0/1, 1/order;
     an order above ``_MAX_ORDER`` = 1000 is refused."""
+    order = index(order)
     if order < 1:
         raise ValueError("order must be a positive integer")
     if order > _MAX_ORDER:
@@ -166,6 +168,7 @@ def rademacher_path(order: int) -> list[TangencyPair]:
 
 def w_chord(prev, mid, nxt, order: int) -> WChord:
     """Images of the tangency points under w = -i k^2 (tau - h/k)."""
+    order = index(order)
     _, k1, k, k2 = _consecutive(prev, mid, nxt)
     if order < 1:
         raise ValueError("order must be a positive integer")

@@ -96,6 +96,7 @@ it raises only if 1/4 - T < 2^-75, and there is no retry.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -157,19 +158,21 @@ def _alpha_float(n: int) -> float:
     return math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
 
 
-def _check_n(n: int) -> None:
-    """Refuse n outside 1..``_MAX_N`` in ``default_precision``,
-    ``truncation_bound`` and ``r_k``, and through them in ``terms_needed``
-    and ``p_series`` (the float bounds overflow from n ~ 10^308)."""
+def _check_n(n: int) -> int:
+    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, in
+    ``default_precision``, ``truncation_bound``, ``r_k`` and ``p_series``, and
+    through them in ``terms_needed`` (the float bounds overflow from n ~ 10^308)."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > _MAX_N:
         raise ValueError(f"n must be at most {_MAX_N} for the series")
+    return n
 
 
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
-    _check_n(n)
+    n = _check_n(n)
     return math.ceil(_alpha_float(n) / _LN2) + 64
 
 
@@ -283,7 +286,7 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n), its A_k(n) weight and its error bound,
     computed at the width of ``ctx``."""
-    _check_n(n)
+    n = _check_n(n)
     roots = selberg_roots(k, n)  # which refuses k outside 1..10^7
     width = ctx.bits + GUARD_BITS
     a, p = _alpha_p(n, width)
@@ -292,7 +295,7 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    _check_n(n)
+    n, n_terms = _check_n(n), index(n_terms)
     if n_terms < 1:
         raise ValueError("N must be a positive integer")
     if n == 1:
@@ -344,6 +347,7 @@ def p_series(n: int) -> SeriesReport:
     outside 1..``_MAX_N`` = 10^9); each term runs at the fewest bits whose
     bound fits B = (1/4 - T)/(2N), in floats when their bound does.
     """
+    n = _check_n(n)
     bits = default_precision(n)
     width = bits + GUARD_BITS
     n_terms = terms_needed(n)

@@ -1,9 +1,17 @@
 import importlib
+from fractions import Fraction
 
 import pytest
+from mpmath import mpc
 
 import partitions
 from launch import python
+from partitions.eta import verify_eta
+from partitions.exact import (
+    PartitionCache, cache_load, cache_save, p_exact, p_oracle_dp, partition_table_dp, pentagonal,
+)
+from partitions.farey import farey_sequence, w_chord
+from partitions.rademacher import default_precision, p_series, r_k, terms_needed, truncation_bound
 
 
 def _run(script):
@@ -125,3 +133,63 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
     )
     out = _run(script)
     assert '"rounded": "190569292"' in out and out.endswith("1,1,5,5,1/26,5/26,1/26,-5/26\n")
+
+
+class _Index:
+    """An integer that only ``operator.index`` reads."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _extend_to(x, cache, path):
+    cache.extend_to(x)
+    return cache
+
+
+# each integer-only entry point as a call with x in place of one integer
+# argument, and the int that a valid x stands for there; ``cache`` starts
+# empty and ``path`` holds p(0..10)
+_INTEGER_ARGUMENTS = {
+    "pentagonal": (lambda x, cache, path: pentagonal(x), 7),
+    "extend_to": (_extend_to, 7),
+    "p_exact": (lambda x, cache, path: p_exact(x, cache), 7),
+    "partition_table_dp": (lambda x, cache, path: partition_table_dp(x), 7),
+    "p_oracle_dp": (lambda x, cache, path: p_oracle_dp(x), 7),
+    "cache_load": (lambda x, cache, path: cache_load(path, upto=x), 5),
+    "PartitionCache": (lambda x, cache, path: PartitionCache([1, x])[1], 2),
+    "default_precision": (lambda x, cache, path: default_precision(x), 100),
+    "truncation_bound[n]": (lambda x, cache, path: truncation_bound(x, 20), 100),
+    "truncation_bound[N]": (lambda x, cache, path: truncation_bound(100, x), 20),
+    "terms_needed": (lambda x, cache, path: terms_needed(x), 100),
+    "p_series": (lambda x, cache, path: p_series(x), 100),
+    "r_k": (lambda x, cache, path: r_k(x, 3), 100),
+    "farey_sequence": (lambda x, cache, path: farey_sequence(x), 5),
+    "w_chord": (lambda x, cache, path: w_chord(0, Fraction(1, 2), 1, x), 5),
+    # both matrices have determinant 1 with the entry x = 1
+    "verify_eta[a]": (lambda x, cache, path: verify_eta((x, 1, 1, 2), mpc(0, 1)), 1),
+    "verify_eta[b]": (lambda x, cache, path: verify_eta((1, x, 1, 2), mpc(0, 1)), 1),
+    "verify_eta[c]": (lambda x, cache, path: verify_eta((1, 1, x, 2), mpc(0, 1)), 1),
+    "verify_eta[d]": (lambda x, cache, path: verify_eta((2, 1, 1, x), mpc(0, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", _INTEGER_ARGUMENTS)
+def test_integer_arguments_are_read_by_operator_index(name, tmp_path):
+    # a float or Fraction, integral or not, and a str are refused before any
+    # work; an object with __index__ and a bool count as the ints they stand for
+    call, value = _INTEGER_ARGUMENTS[name]
+    path = tmp_path / "p.csv"
+    cache_save(PartitionCache(partition_table_dp(10)), path)
+    text = path.read_text()
+    cache = PartitionCache()
+    for bad in (2.0, 2.5, 7.5, Fraction(5, 2), "3"):
+        with pytest.raises(TypeError):
+            call(bad, cache, path)
+        assert cache.max_n == 0 and path.read_text() == text, bad
+    for x, same in ((_Index(value), value), (True, 1)):
+        got, want = call(x, PartitionCache(), path), call(same, PartitionCache(), path)
+        assert got == want and repr(got) == repr(want), (x, got, want)
