@@ -29,7 +29,7 @@ k <= ``_TABLE_K`` they are read from a per-k table of every residue, built
 on first use; above it one pass over k residues finds them.  The floating
 sum over the roots, and the error model that counts its operations, live
 in :mod:`partitions.rademacher`; this module imports only ``functools``,
-``math``, ``operator`` and ``fractions``.
+``math``, ``operator``, ``fractions`` and :mod:`partitions._integers`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
+
+from ._integers import read_int
 
 # selberg_roots refuses larger k: above _TABLE_K it scans k residues, which took
 # 0.6 s at k = 10^7 on one vCPU of a Xeon VM; the series needs k <= 10364 (n <= 10^9)
@@ -51,8 +53,7 @@ _NEG_PENTAGONAL = [-(l * (3 * l + 1) // 2) for l in range(2 * _TABLE_K)]
 
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) as an exact Fraction, for any integer h and k >= 1."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    h, k = operator.index(h), read_int(k, "k")
     h %= k
     g = math.gcd(h, k)
     h, k = h // g, k // g
@@ -71,8 +72,7 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
 
     Zero for every coprime pair; a check on the exact arithmetic.
     """
-    if h < 1 or k < 1:
-        raise ValueError("h and k must be positive integers")
+    h, k = read_int(h, "h"), read_int(k, "k")
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     closed = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
@@ -101,12 +101,7 @@ def selberg_roots(k: int, n: int) -> list[int]:
     f(l) + k/2 (mod k) for even k and f(l) (mod k) for odd k.  So l + k is
     a root exactly when f(l) is k/2 (even k) or 0 (odd k) mod k.
     """
-    # a float or Fraction raises TypeError: n = 3.5 would find no roots
-    k, n = operator.index(k), operator.index(n)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if k > _MAX_K:
-        raise ValueError(f"k must be at most {_MAX_K}")
+    k, n = read_int(k, "k", high=_MAX_K), operator.index(n)  # n = 3.5 would find no roots
     if k <= _TABLE_K:
         return _root_table(k)[n % k][:]  # a copy, so that a caller cannot change the table
     low, high = [], []

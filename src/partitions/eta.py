@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf, mpmathify
 
+from ._integers import read_int
 from .dedekind import dedekind_sum
 from .precision import DEFAULT_CONTEXT, PrecisionContext
 
@@ -112,8 +113,7 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
 
 def conjugate_inverse(h: int, k: int) -> int:
     """The unique H with 1 <= H <= k and h*H = -1 (mod k)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    h, k = index(h), read_int(k, "k")
     if math.gcd(h, k) != 1:
         raise ValueError("h and k must be coprime")
     H = (-pow(h, -1, k)) % k
@@ -123,11 +123,14 @@ def conjugate_inverse(h: int, k: int) -> int:
 def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """|F(w) - transformed F(w')| for the generating function near
     exp(2 pi i h / k); zero in exact arithmetic."""
-    if not 1 <= h <= k:
+    h, k = read_int(h, "h"), index(k)
+    if h > k:  # with h >= 1, this refuses k < 1 too
         raise ValueError("need 1 <= h <= k")
     H = conjugate_inverse(h, k)
     with ctx.workprec():
         z = mpc(z)
+        if not mp.isfinite(z):  # nan passes every comparison below
+            raise ValueError("z must be finite")
         if z.real <= 0:
             raise ValueError("Re z must be positive")
         w = mp.exp(2j * mp.pi * h / k - 2 * mp.pi * z / k**2)

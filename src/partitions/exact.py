@@ -22,6 +22,8 @@ import os
 from operator import index, sub
 from typing import NamedTuple
 
+from ._integers import read_int
+
 # the quadratic-time DP oracle is only meant for cross-checking
 ORACLE_LIMIT = 5000
 # the recurrence refuses larger n: a cold p_exact took 1.0 s of CPU at 10^5 on one
@@ -38,9 +40,7 @@ class PentagonalPair(NamedTuple):
 
 def pentagonal(k: int) -> PentagonalPair:
     """The pentagonal pair (w1(k), w2(k)) = ((3k^2-k)/2, (3k^2+k)/2)."""
-    k = index(k)
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    k = read_int(k, "k")
     w1 = (3 * k * k - k) // 2
     return PentagonalPair(k, w1, w1 + k)
 
@@ -78,6 +78,7 @@ class PartitionCache:
         return len(self._values) - 1
 
     def __getitem__(self, n: int) -> int:
+        n = index(n)
         if n < 0:  # a negative n would count from the end of the list
             raise IndexError(f"no p({n}) in the table: n must be nonnegative")
         try:
@@ -141,9 +142,7 @@ def _iter_at(seq: list, i: int):
 
 def p_exact(n: int, cache: PartitionCache | None = None) -> int:
     """p(n) by the pentagonal recurrence, extending ``cache`` through n; a refused n leaves it unchanged."""
-    n = index(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = read_int(n, "n", low=0)
     cache = PartitionCache() if cache is None else cache
     cache.extend_to(n)
     return cache[n]
@@ -156,9 +155,7 @@ def partition_table_dp(n_max: int) -> list[int]:
     product; O(n^2) big-integer additions overall.  Independent of the
     recurrence path on purpose.
     """
-    n_max = index(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = read_int(n_max, "n_max", low=0)
     if n_max > ORACLE_LIMIT:
         raise ValueError(f"DP oracle is limited to n <= {ORACLE_LIMIT}")
     table = [0] * (n_max + 1)

@@ -32,6 +32,8 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
+from ._integers import read_int
+
 # farey_sequence refuses larger orders: |F_N| grows as 3N^2/pi^2, and on a
 # 2-vCPU VM `partitions ford 1000` took 6.7 s and 92 MB, `ford 2000` 29 s
 # and 324 MB
@@ -78,11 +80,7 @@ class WChord(NamedTuple):
 def farey_sequence(order: int) -> list[Fraction]:
     """F_order in ascending order, by the next-term rule from 0/1, 1/order;
     an order above ``_MAX_ORDER`` = 1000 is refused."""
-    order = index(order)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    if order > _MAX_ORDER:
-        raise ValueError(f"order must be at most {_MAX_ORDER}")
+    order = read_int(order, "order", high=_MAX_ORDER)
     a, b, c, d = 0, 1, 1, order
     seq = [Fraction(0)]
     while c <= d:
@@ -157,6 +155,7 @@ def contour_triples(order: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     consists of exactly |F_order| - 1 arcs chained by shared tangency
     points.
     """
+    order = index(order)  # farey_sequence checks its range
     extended = farey_sequence(order) + [Fraction(order + 1, order)]
     return list(zip(extended, extended[1:], extended[2:]))
 
@@ -168,10 +167,8 @@ def rademacher_path(order: int) -> list[TangencyPair]:
 
 def w_chord(prev, mid, nxt, order: int) -> WChord:
     """Images of the tangency points under w = -i k^2 (tau - h/k)."""
-    order = index(order)
+    order = read_int(order, "order")
     _, k1, k, k2 = _consecutive(prev, mid, nxt)
-    if order < 1:
-        raise ValueError("order must be a positive integer")
     w1 = QPoint(Fraction(k * k, k * k + k1 * k1), Fraction(k * k1, k * k + k1 * k1))
     w2 = QPoint(Fraction(k * k, k * k + k2 * k2), Fraction(-k * k2, k * k + k2 * k2))
     return WChord(w1, w2, k, k1, k2, order)

@@ -96,7 +96,6 @@ it raises only if 1/4 - T < 2^-75, and there is no retry.
 from __future__ import annotations
 
 import math
-from operator import index
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -104,7 +103,8 @@ from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, 
                           mpf_mul, mpf_mul_int, mpf_neg, mpf_nint, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt,
                           mpf_sub, mpf_sum, normalize, round_nearest as _RND, to_float, to_int)
 
-from .dedekind import selberg_roots
+from ._integers import read_int
+from .dedekind import _MAX_K, selberg_roots
 from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT
 
 _LN2 = math.log(2)
@@ -162,9 +162,7 @@ def _check_n(n: int) -> int:
     """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, in
     ``default_precision``, ``truncation_bound``, ``r_k`` and ``p_series``, and
     through them in ``terms_needed`` (the float bounds overflow from n ~ 10^308)."""
-    n = index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = read_int(n, "n")
     if n > _MAX_N:
         raise ValueError(f"n must be at most {_MAX_N} for the series")
     return n
@@ -276,18 +274,16 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
     A_1(n) = 1 and A_2(n) = (-1)^n are returned exactly.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n, k = read_int(n, "n"), read_int(k, "k", high=_MAX_K)
     bits = ctx.bits + GUARD_BITS
-    # selberg_roots refuses k outside 1..10^7
     return mp.make_mpf(selberg_sum(k, selberg_roots(k, n), mpf_sqrt(from_int(k), bits, _RND), bits))
 
 
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n), its A_k(n) weight and its error bound,
     computed at the width of ``ctx``."""
-    n = _check_n(n)
-    roots = selberg_roots(k, n)  # which refuses k outside 1..10^7
+    n, k = _check_n(n), read_int(k, "k", high=_MAX_K)
+    roots = selberg_roots(k, n)
     width = ctx.bits + GUARD_BITS
     a, p = _alpha_p(n, width)
     return _term(k, roots, a, p, width, _log_c(k, len(roots), float(a) / k, float(p)))
@@ -295,9 +291,7 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    n, n_terms = _check_n(n), index(n_terms)
-    if n_terms < 1:
-        raise ValueError("N must be a positive integer")
+    n, n_terms = _check_n(n), read_int(n_terms, "N")
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))

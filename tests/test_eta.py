@@ -244,6 +244,8 @@ def test_verify_f_transform_rejects_bad_inputs():
         verify_f_transform(5, 3, mpf(1), CTX)
     with pytest.raises(ValueError, match="finite"):
         verify_f_transform(1, 1, mpc(1, "inf"), CTX)
+    with pytest.raises(ValueError, match="^z must be finite$"):  # not the internal point w
+        verify_f_transform(1, 1, mpc("nan", 0), CTX)
     for k in (0, -1):  # no 1 <= h <= k exists
         with pytest.raises(ValueError, match="need 1 <= h <= k"):
             verify_f_transform(1, k, mpf(1), CTX)

@@ -6,12 +6,13 @@ from mpmath import mpc
 
 import partitions
 from launch import python
-from partitions.eta import verify_eta
+from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
+from partitions.eta import conjugate_inverse, verify_eta, verify_f_transform
 from partitions.exact import (
     PartitionCache, cache_load, cache_save, p_exact, p_oracle_dp, partition_table_dp, pentagonal,
 )
-from partitions.farey import farey_sequence, w_chord
-from partitions.rademacher import default_precision, p_series, r_k, terms_needed, truncation_bound
+from partitions.farey import contour_triples, farey_sequence, rademacher_path, w_chord
+from partitions.rademacher import a_k, default_precision, p_series, r_k, terms_needed, truncation_bound
 
 
 def _run(script):
@@ -161,19 +162,35 @@ _INTEGER_ARGUMENTS = {
     "p_oracle_dp": (lambda x, cache, path: p_oracle_dp(x), 7),
     "cache_load": (lambda x, cache, path: cache_load(path, upto=x), 5),
     "PartitionCache": (lambda x, cache, path: PartitionCache([1, x])[1], 2),
+    "PartitionCache[n]": (lambda x, cache, path: PartitionCache([1, 1, 2, 3])[x], 3),
     "default_precision": (lambda x, cache, path: default_precision(x), 100),
     "truncation_bound[n]": (lambda x, cache, path: truncation_bound(x, 20), 100),
     "truncation_bound[N]": (lambda x, cache, path: truncation_bound(100, x), 20),
     "terms_needed": (lambda x, cache, path: terms_needed(x), 100),
     "p_series": (lambda x, cache, path: p_series(x), 100),
     "r_k": (lambda x, cache, path: r_k(x, 3), 100),
+    "r_k[k]": (lambda x, cache, path: r_k(100, x), 3),
+    "a_k[k]": (lambda x, cache, path: a_k(x, 5), 7),
+    "a_k[n]": (lambda x, cache, path: a_k(7, x), 5),
+    "selberg_roots[k]": (lambda x, cache, path: selberg_roots(x, 5), 7),
+    "selberg_roots[n]": (lambda x, cache, path: selberg_roots(7, x), 5),
+    "dedekind_sum[h]": (lambda x, cache, path: dedekind_sum(x, 7), 5),
+    "dedekind_sum[k]": (lambda x, cache, path: dedekind_sum(5, x), 7),
+    "reciprocity_defect[h]": (lambda x, cache, path: reciprocity_defect(x, 7), 5),
+    "reciprocity_defect[k]": (lambda x, cache, path: reciprocity_defect(5, x), 7),
+    "conjugate_inverse[h]": (lambda x, cache, path: conjugate_inverse(x, 7), 5),
+    "conjugate_inverse[k]": (lambda x, cache, path: conjugate_inverse(5, x), 7),
     "farey_sequence": (lambda x, cache, path: farey_sequence(x), 5),
     "w_chord": (lambda x, cache, path: w_chord(0, Fraction(1, 2), 1, x), 5),
+    "contour_triples": (lambda x, cache, path: contour_triples(x), 5),
+    "rademacher_path": (lambda x, cache, path: rademacher_path(x), 5),
     # both matrices have determinant 1 with the entry x = 1
     "verify_eta[a]": (lambda x, cache, path: verify_eta((x, 1, 1, 2), mpc(0, 1)), 1),
     "verify_eta[b]": (lambda x, cache, path: verify_eta((1, x, 1, 2), mpc(0, 1)), 1),
     "verify_eta[c]": (lambda x, cache, path: verify_eta((1, 1, x, 2), mpc(0, 1)), 1),
     "verify_eta[d]": (lambda x, cache, path: verify_eta((2, 1, 1, x), mpc(0, 1)), 1),
+    "verify_f_transform[h]": (lambda x, cache, path: verify_f_transform(x, 7, 1), 3),
+    "verify_f_transform[k]": (lambda x, cache, path: verify_f_transform(1, x, 1), 7),
 }
 
 
