@@ -11,6 +11,7 @@ to zero.
 
 from __future__ import annotations
 
+import math
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
@@ -33,10 +34,10 @@ class AsymptoticRow(NamedTuple):
     eps_percent: mpf
 
 
-def leading_term(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+def leading_term(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """L(n) = exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if not 1 <= n < math.inf:  # nan fails this too
+        raise ValueError("n must be a finite real number >= 1")
     with ctx.workprec():
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
@@ -77,10 +78,10 @@ def zeta_three_halves(ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.zeta(mpf(3) / 2)
 
 
-def tail_ratio_bound(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+def tail_ratio_bound(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """(2 C pi^2 n / 3) exp(-(pi/2) sqrt(2n/3)), C = zeta(3/2) - 1."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    if not 1 <= n < math.inf:  # nan fails this too
+        raise ValueError("n must be a finite real number >= 1")
     with ctx.workprec():
         c = zeta_three_halves(ctx) - 1
         return 2 * c * mp.pi**2 * n / 3 * mp.exp(-mp.pi / 2 * mp.sqrt(mpf(2) * n / 3))

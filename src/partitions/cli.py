@@ -3,6 +3,9 @@
 Subcommands cover every part of the library: exact values, certified
 series evaluation, asymptotics, the error table, Farey/Ford data, Dedekind
 sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
+The module parses arguments and prints results; the library owns the rest,
+the ``verify`` case streams (:mod:`partitions.eta`) and the int-to-str lift
+``series`` prints under (:mod:`partitions.precision`) included.
 
 Exit codes: 0 on success, 1 when a verification or series certification
 fails (and for I/O trouble), 2 for usage errors: argparse checks the
@@ -17,7 +20,6 @@ precision policies contain no randomness.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -47,27 +49,6 @@ def _cached(path, upto):
     yield cache
     if path and cache.max_n > loaded_max_n:
         cache_save(cache, path)
-
-
-@contextmanager
-def _unlimited_int_str():
-    """No limit on int-to-decimal conversion inside the block, and the
-    interpreter's limit (4300 digits by default, since Python 3.10.7)
-    again after it: the series report prints p(n) and mpf terms of more
-    digits from n ~ 1.6e7.  The --prec subcommands need no lift, as a
-    context carries at most 4096 + 16 bits.  The block holds ``STATE_LOCK``,
-    so no other thread lifts or restores the limit while it runs."""
-    from .precision import STATE_LOCK
-
-    with STATE_LOCK:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            if limit:
-                sys.set_int_max_str_digits(limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,6 +143,7 @@ def _cmd_series(args) -> int:
 
     from mpmath import mp
 
+    from .precision import unlimited_int_str
     from .rademacher import CertificationError, p_series
 
     try:
@@ -169,7 +151,7 @@ def _cmd_series(args) -> int:
     except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with _unlimited_int_str():
+    with unlimited_int_str():
         payload = {
             "n": report.n,
             "prec_bits": report.prec,
@@ -292,38 +274,6 @@ def _cmd_bessel(args) -> int:
     return 0
 
 
-def eta_verification_cases(count: int):
-    """Deterministic (matrix, tau) stream: determinant-1 matrices with c > 0.
-    Each tau comes from float literals: the same at any mpmath precision >= 53 bits."""
-    from mpmath import mpc
-
-    taus = (mpc(0, 1), mpc(0.3, 0.8), mpc(-0.25, 1.1), mpc(0.5, 0.6), mpc(0.7, 1.4), mpc(-0.4, 0.9))
-    cases = []
-    for j in range(count):
-        c = j % 6 + 1
-        d = j // 6 + 1
-        while math.gcd(c, d) != 1:
-            d += 1
-        a = pow(d, -1, c) if c > 1 else 1
-        b = (a * d - 1) // c
-        cases.append(((a, b, c, d), taus[j % len(taus)]))
-    return cases
-
-
-def f_transform_cases(count: int):
-    """Deterministic (h, k, z) stream with Re z > 0; z exact, as tau above."""
-    from mpmath import mpc
-
-    zs = (mpc(1), mpc(0.5), mpc(1, 0.4), mpc(0.8, -0.3), mpc(1.3, 0.2), mpc(0.6), mpc(0.9, 0.7))
-    cases = []
-    for j in range(count):
-        k = j % 6 + 1
-        coprime = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
-        h = coprime[(j // 6) % len(coprime)]
-        cases.append((h, k, zs[j % len(zs)]))
-    return cases
-
-
 def _cmd_verify(args) -> int:
     # before any case is built: --samples bounds this handler's own loop
     if not 1 <= args.samples <= VERIFY_MAX_SAMPLES:
@@ -331,7 +281,7 @@ def _cmd_verify(args) -> int:
 
     from mpmath import mp, mpf
 
-    from .eta import verify_eta, verify_f_transform
+    from .eta import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
     from .precision import PrecisionContext
 
     ctx = PrecisionContext(args.prec)

@@ -30,7 +30,8 @@ sides, (a+d)/(12 c) + s(-d, c) and s(h, k), are kept exact (reduced mod 2)
 before any floating call; w and w' themselves are formed in floating
 point at the working precision.  For Re z > 0 and c > 0 every square root
 argument stays in the right half-plane, so the principal branch is the
-correct one throughout.
+correct one throughout.  ``eta_verification_cases`` and ``f_transform_cases``
+are the deterministic streams of cases for the two verifiers.
 """
 
 from __future__ import annotations
@@ -111,6 +112,22 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
     return EtaCheckReport((a, b, c, d), tau, lhs, rhs, residual)
 
 
+def eta_verification_cases(count: int):
+    """Deterministic (matrix, tau) stream: determinant-1 matrices with c > 0.
+    Each tau comes from float literals: the same at any mpmath precision >= 53 bits."""
+    taus = (mpc(0, 1), mpc(0.3, 0.8), mpc(-0.25, 1.1), mpc(0.5, 0.6), mpc(0.7, 1.4), mpc(-0.4, 0.9))
+    cases = []
+    for j in range(count):
+        c = j % 6 + 1
+        d = j // 6 + 1
+        while math.gcd(c, d) != 1:
+            d += 1
+        a = pow(d, -1, c) if c > 1 else 1
+        b = (a * d - 1) // c
+        cases.append(((a, b, c, d), taus[j % len(taus)]))
+    return cases
+
+
 def conjugate_inverse(h: int, k: int) -> int:
     """The unique H with 1 <= H <= k and h*H = -1 (mod k)."""
     h, k = index(h), read_int(k, "k")
@@ -143,3 +160,16 @@ def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEX
             * generating_function(w_far, ctx)
         )
         return abs(lhs - rhs)
+
+
+def f_transform_cases(count: int):
+    """Deterministic (h, k, z) stream with Re z > 0; z exact, as tau in
+    ``eta_verification_cases``."""
+    zs = (mpc(1), mpc(0.5), mpc(1, 0.4), mpc(0.8, -0.3), mpc(1.3, 0.2), mpc(0.6), mpc(0.9, 0.7))
+    cases = []
+    for j in range(count):
+        k = j % 6 + 1
+        coprime = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
+        h = coprime[(j // 6) % len(coprime)]
+        cases.append((h, k, zs[j % len(zs)]))
+    return cases

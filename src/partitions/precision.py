@@ -3,9 +3,11 @@
 A :class:`PrecisionContext` is a checked width and nothing more: it pins the
 working precision in bits; functions returning mpmath values compute inside
 ``with ctx.workprec():`` and own their stop rules and input conversions.
-``workprec``, the one writer of mpmath's process-wide precision, holds the
-re-entrant ``STATE_LOCK`` for its whole block, so threads' blocks run one at a
-time; mpmath is pure Python under the GIL, so that loses no parallelism.
+This module holds the package's two writers of process-wide state, each
+holding the private re-entrant ``_STATE_LOCK`` for its whole block, so
+threads' blocks run one at a time: ``workprec`` sets mpmath's precision
+(mpmath is pure Python under the GIL, so that loses no parallelism), and
+``unlimited_int_str`` lifts the interpreter's int-to-str limit.
 mpmath values are immutable and keep the precision they were computed at,
 so results can be mixed freely afterwards (comparisons and follow-up
 arithmetic should run inside a context of their own if they need more than
@@ -22,6 +24,7 @@ interpreter's default 4300-digit limit on int-to-str conversion.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import namedtuple
 from contextlib import contextmanager
@@ -37,7 +40,7 @@ GUARD_BITS = 16
 MAX_BITS = 2**12
 
 # held around each write of process-wide state: mpmath's precision, the int-to-str limit
-STATE_LOCK = threading.RLock()
+_STATE_LOCK = threading.RLock()
 
 
 class PrecisionContext(namedtuple("PrecisionContext", "bits")):
@@ -59,9 +62,26 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
 
     @contextmanager
     def workprec(self):
-        """Run the block at ``bits + GUARD_BITS`` precision, holding ``STATE_LOCK``."""
-        with STATE_LOCK, mp.workprec(self.bits + GUARD_BITS):
+        """Run the block at ``bits + GUARD_BITS`` precision, holding ``_STATE_LOCK``."""
+        with _STATE_LOCK, mp.workprec(self.bits + GUARD_BITS):
             yield
 
 
 DEFAULT_CONTEXT = PrecisionContext(128)
+
+
+@contextmanager
+def unlimited_int_str():
+    """No limit on int-to-decimal conversion inside the block, and the
+    caller's limit (4300 digits by default) again after it: the series
+    report prints p(n) and mpf terms of more digits from n ~ 1.6e7.  The
+    --prec subcommands need no lift, as a context carries at most 4096 + 16
+    bits.  The block holds ``_STATE_LOCK``, so no other thread lifts or
+    restores the limit while it runs."""
+    with _STATE_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -174,25 +174,21 @@ def default_precision(n: int) -> int:
     return math.ceil(_alpha_float(n) / _LN2) + 64
 
 
-def _alpha_raw(n: int, bits: int) -> tuple:
-    """alpha(n) as a raw mpmath value (an ``_mpf_`` tuple), on
-    ``mpmath.libmp`` at ``bits`` bits, rounding to nearest."""
-    m = mpf_sub(from_int(n, bits, _RND), mpf_div(fone, from_int(24), bits, _RND), bits, _RND)  # n - 1/24
-    root = mpf_sqrt(mpf_div(mpf_mul_int(m, 2, bits, _RND), from_int(3), bits, _RND), bits, _RND)
-    return mpf_mul(mpf_pi(bits, _RND), root, bits, _RND)
-
-
-def alpha(n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """alpha(n) = pi sqrt((2/3)(n - 1/24)); positive, increasing in n."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return mp.make_mpf(_alpha_raw(n, ctx.bits + GUARD_BITS))
+def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
+    """alpha(n) = pi sqrt((2/3)(n - 1/24)) for a finite real n >= 1; positive, increasing in n."""
+    if not 1 <= n < math.inf:  # nan fails this too
+        raise ValueError("n must be a finite real number >= 1")
+    with ctx.workprec():
+        return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
 
 
 def _alpha_p(n: int, width: int) -> tuple[mpf, mpf]:
-    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), at ``width`` + 8 bits."""
+    """alpha(n) and P = pi^2/(3 sqrt(3) alpha^3), on ``mpmath.libmp`` at
+    ``width`` + 8 bits, rounding to nearest."""
     bits = width + 8
-    a = _alpha_raw(n, bits)
+    m = mpf_sub(from_int(n, bits, _RND), mpf_div(fone, from_int(24), bits, _RND), bits, _RND)  # n - 1/24
+    root = mpf_sqrt(mpf_div(mpf_mul_int(m, 2, bits, _RND), from_int(3), bits, _RND), bits, _RND)
+    a = mpf_mul(mpf_pi(bits, _RND), root, bits, _RND)
     three_root3 = mpf_mul_int(mpf_sqrt(from_int(3), bits, _RND), 3, bits, _RND)
     p = mpf_div(mpf_pow_int(mpf_pi(bits, _RND), 2, bits, _RND),
                 mpf_mul(three_root3, mpf_pow_int(a, 3, bits, _RND), bits, _RND), bits, _RND)

@@ -21,9 +21,8 @@ from partitions.asymptotics import (
     tail_ratio_bound,
 )
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
-from partitions.cli import eta_verification_cases, f_transform_cases
 from partitions.dedekind import dedekind_sum, reciprocity_defect
-from partitions.eta import verify_eta, verify_f_transform
+from partitions.eta import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
 from partitions.exact import PartitionCache, partition_table_dp
 from partitions.farey import farey_sequence, rademacher_path, w_chord, chord_bounds_check, ford_circle
 from partitions.precision import PrecisionContext

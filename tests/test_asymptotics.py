@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from mpmath import mp, mpf
 
@@ -31,8 +33,10 @@ def test_leading_term_positive_and_growing():
 
 
 def test_leading_term_validation():
-    with pytest.raises(ValueError):
-        leading_term(0, CTX)
+    # nan passes n < 1, and inf would yield nan
+    for n in (0, math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="^n must be a finite real number >= 1$"):
+            leading_term(n, CTX)
 
 
 def test_relative_errors_match_reference():
@@ -86,8 +90,10 @@ def test_tail_ratio_bound_vanishes():
 
 
 def test_tail_ratio_bound_validation():
-    with pytest.raises(ValueError):
-        tail_ratio_bound(0, CTX)
+    # nan passes n < 1, and inf would yield nan
+    for n in (0, math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="^n must be a finite real number >= 1$"):
+            tail_ratio_bound(n, CTX)
 
 
 def test_actual_tail_below_bound_spot_checks():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import shlex
 import sys
@@ -34,14 +35,14 @@ def test_series_prints_past_the_int_str_limit(capsys):
     # p(17782794) has 4690 digits, past Python's default limit of 4300 on
     # int-to-str conversion; the CLI lifts the limit only while it formats
     row, = [r for r in json.loads(RESIDUES_PATH.read_text()) if r["n"] == 17782794]
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     code, out, err = run(["series", "17782794"], capsys)
     assert code == 0, err
     residue = 0
     for digit in json.loads(out)["rounded"]:
         residue = (residue * 10 + int(digit)) % 2**64
     assert residue == row["mod_2_64"]
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_two_series_threads_each_lift_the_int_str_limit(capsys, monkeypatch):
@@ -50,8 +51,6 @@ def test_two_series_threads_each_lift_the_int_str_limit(capsys, monkeypatch):
     # would find the limit already lifted and lift and restore nothing, and
     # a's restore would make b's str(p(n)) raise.  One lock around the block
     # makes b wait for a's whole block instead.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str limit")
     from mpmath import mp
 
     report = p_series(17782794)  # p(n) has 4690 digits
@@ -81,8 +80,6 @@ def test_ak_prints_past_the_int_str_limit(capsys):
     # limit is left as it was found
     from mpmath import mpf
 
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str limit")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -100,8 +97,6 @@ def test_verify_prints_at_its_ceiling_under_the_default_int_str_limit(capsys):
     # bessel and verify lift no int-to-str limit either: their values carry
     # at most 4096 + 16 bits. x = 99999.999 is the largest Bessel x at full
     # width
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str limit")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -125,8 +120,10 @@ def test_verify_ceilings_checked_before_any_case(capsys, monkeypatch):
     def no_cases(count):
         raise AssertionError("cases built")
 
-    monkeypatch.setattr(cli, "eta_verification_cases", no_cases)
-    monkeypatch.setattr(cli, "f_transform_cases", no_cases)
+    # the module object itself: a string target "partitions.eta.<name>" resolves to the eta function
+    eta_module = importlib.import_module("partitions.eta")
+    monkeypatch.setattr(eta_module, "eta_verification_cases", no_cases)
+    monkeypatch.setattr(eta_module, "f_transform_cases", no_cases)
     for law in ("eta", "ftransform"):
         for flags, message in (
             (["--samples", str(10**12)], "--samples 1 to 32"),

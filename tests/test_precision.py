@@ -1,15 +1,17 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc
 
 from schedule import run_a_then_b
 
-from partitions import rademacher
+from partitions import precision, rademacher
 from partitions.asymptotics import leading_term
 from partitions.bessel import bessel_i_series
 from partitions.eta import eta
-from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext
+from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext, unlimited_int_str
 
 
 def test_bits_floor():
@@ -69,6 +71,29 @@ def test_workprec_scopes_precision():
         assert mp.prec == 216  # bits + guard
     assert mp.prec == before
 
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_unlimited_int_str_restores_the_callers_limit_after_a_raise(limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(RuntimeError, match="^inside$"):
+            with unlimited_int_str():
+                assert sys.get_int_max_str_digits() == 0
+                assert len(str(10**5000)) == 5001
+                raise RuntimeError("inside")
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_precision_is_the_one_writer_of_process_wide_state():
+    # the int-to-str limit and the lock that guards it and mpmath's precision
+    source = Path(precision.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        if path.name != "precision.py":
+            text = path.read_text()
+            assert "set_int_max_str_digits" not in text and "STATE_LOCK" not in text, path.name
 
 
 @pytest.mark.parametrize("function, args, stop_at", [

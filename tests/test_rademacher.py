@@ -43,8 +43,17 @@ def test_alpha_monotone():
 
 
 def test_alpha_rejects_zero():
-    with pytest.raises(ValueError):
-        alpha(0, CTX)
+    # and nan, which passes n < 1, and the other non-finite or sub-1 reals
+    for n in (0, math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(ValueError, match="^n must be a finite real number >= 1$"):
+            alpha(n, CTX)
+
+
+def test_alpha_at_a_real_n():
+    # a real n, which libmp's from_int would truncate to an integer
+    with CTX.workprec():
+        expected = mp.pi * mp.sqrt(mpf(2) / 3 * (mpf(1.5) - mpf(1) / 24))
+        assert abs(alpha(1.5, CTX) - expected) < mpf(2) ** -100
 
 
 def test_default_precision_policy():
