@@ -10,9 +10,9 @@ analytic route rests on:
   formula, next to the error model that counts their operations.
 * :mod:`partitions.asymptotics` -- the leading asymptotic L(n) and error
   diagnostics.
-* :mod:`partitions.dedekind`, :mod:`partitions.eta` -- exact Dedekind sums,
-  the integer roots of Selberg's formula, and numerical verifiers for the
-  eta and generating-function transformation laws.
+* :mod:`partitions.dedekind`, :mod:`partitions.modular` -- exact Dedekind
+  sums, the integer roots of Selberg's formula, and numerical verifiers for
+  the eta and generating-function transformation laws.
 * :mod:`partitions.farey`, :mod:`partitions.bessel` -- the contour geometry
   (Farey fractions, Ford circles, w-plane chords) and the modified Bessel
   function behind the series terms.
@@ -23,8 +23,6 @@ Submodules load on first use (PEP 562), so ``import partitions.exact``,
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -34,33 +32,20 @@ _EXPORTS = {
                    "relative_error_table tail_ratio_bound zeta_three_halves",
     "bessel": "bessel_i_3_2_closed bessel_i_series",
     "dedekind": "dedekind_sum reciprocity_defect selberg_roots",
-    "eta": "EtaCheckReport conjugate_inverse eta exp_i_pi_rational generating_function "
-           "verify_eta verify_f_transform",
     "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "
              "cache_save p_exact p_oracle_dp partition_table_dp pentagonal",
     "farey": "FordCircle QPoint TangencyPair WChord arc_length_bound_check "
              "chord_bounds_check farey_neighbors_check farey_sequence ford_circle "
              "ford_tangency_class rademacher_path tangency_points w_chord",
+    "modular": "EtaCheckReport conjugate_inverse eta exp_i_pi_rational generating_function "
+               "verify_eta verify_f_transform",
     "precision": "DEFAULT_CONTEXT PrecisionContext",
     "rademacher": "CertificationError SeriesReport SeriesTerm a_k alpha default_precision "
-                  "p_series r_k selberg_sum terms_needed truncation_bound",
+                  "p_series r_k terms_needed truncation_bound",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __all__ = [*_SUBMODULE, "__version__"]
-
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name, value):
-        # The import system binds a loaded submodule as an attribute of the
-        # package. ``eta`` names both a submodule and its function; keep the
-        # function, as an eager ``from .eta import eta`` would.
-        if isinstance(value, types.ModuleType) and name in _SUBMODULE:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name):

@@ -4,8 +4,8 @@ Subcommands cover every part of the library: exact values, certified
 series evaluation, asymptotics, the error table, Farey/Ford data, Dedekind
 sums, A_k sums, Bessel evaluation, and the transformation-law verifiers.
 The module parses arguments and prints results; the library owns the rest,
-the ``verify`` case streams (:mod:`partitions.eta`) and the int-to-str lift
-``series`` prints under (:mod:`partitions.precision`) included.
+the ``verify`` case streams (:mod:`partitions.modular`) and the int-to-str
+lift ``series`` prints under (:mod:`partitions.precision`) included.
 
 Exit codes: 0 on success, 1 when a verification or series certification
 fails (and for I/O trouble), 2 for usage errors: argparse checks the
@@ -281,7 +281,7 @@ def _cmd_verify(args) -> int:
 
     from mpmath import mp, mpf
 
-    from .eta import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
+    from .modular import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
     from .precision import PrecisionContext
 
     ctx = PrecisionContext(args.prec)

@@ -159,19 +159,23 @@ def _alpha_float(n: int) -> float:
 
 
 def _check_n(n: int) -> int:
-    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, in
-    ``default_precision``, ``truncation_bound``, ``r_k`` and ``p_series``, and
-    through them in ``terms_needed`` (the float bounds overflow from n ~ 10^308)."""
+    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, once at
+    each series entry: ``default_precision``, ``truncation_bound``,
+    ``terms_needed``, ``r_k`` and ``p_series`` (the float bounds overflow from
+    n ~ 10^308).  The private functions they share take n as checked."""
     n = read_int(n, "n")
     if n > _MAX_N:
         raise ValueError(f"n must be at most {_MAX_N} for the series")
     return n
 
 
+def _default_precision(n: int) -> int:
+    return math.ceil(_alpha_float(n) / _LN2) + 64
+
+
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
-    n = _check_n(n)
-    return math.ceil(_alpha_float(n) / _LN2) + 64
+    return _default_precision(_check_n(n))
 
 
 def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -179,7 +183,7 @@ def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     if not 1 <= n < math.inf:  # nan fails this too
         raise ValueError("n must be a finite real number >= 1")
     with ctx.workprec():
-        return mp.pi * mp.sqrt((mpf(n) - mpf(1) / 24) * 2 / 3)
+        return mp.pi * mp.sqrt((mpf(2) * n - mpf(1) / 12) / 3)
 
 
 def _alpha_p(n: int, width: int) -> tuple[mpf, mpf]:
@@ -287,7 +291,10 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    n, n_terms = _check_n(n), read_int(n_terms, "N")
+    return _truncation_bound(_check_n(n), read_int(n_terms, "N"))
+
+
+def _truncation_bound(n: int, n_terms: int) -> float:
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -302,8 +309,12 @@ def truncation_bound(n: int, n_terms: int) -> float:
 def terms_needed(n: int) -> int:
     """The smallest N with truncation_bound(n, N) < 1/4, by a walk up from
     N = 20, below which T(n, N) >= 1/4 for every n."""
+    return _terms_needed(_check_n(n))
+
+
+def _terms_needed(n: int) -> int:
     n_terms = _FEWEST_TERMS
-    while truncation_bound(n, n_terms) >= 0.25:
+    while _truncation_bound(n, n_terms) >= 0.25:
         n_terms += 1
     return n_terms
 
@@ -332,16 +343,16 @@ def _exact_sum(values: list[float]) -> mpf:
 def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
-    Everything is fixed by n: N = ``terms_needed(n)`` terms, summed at a
-    width of ``default_precision(n)`` + ``GUARD_BITS`` bits (which refuses n
-    outside 1..``_MAX_N`` = 10^9); each term runs at the fewest bits whose
-    bound fits B = (1/4 - T)/(2N), in floats when their bound does.
+    Everything is fixed by n, which must lie in 1..``_MAX_N`` = 10^9: N =
+    ``terms_needed(n)`` terms, summed at a width of ``default_precision(n)`` +
+    ``GUARD_BITS`` bits; each term runs at the fewest bits whose bound fits
+    B = (1/4 - T)/(2N), in floats when their bound does.
     """
     n = _check_n(n)
-    bits = default_precision(n)
+    bits = _default_precision(n)
     width = bits + GUARD_BITS
-    n_terms = terms_needed(n)
-    t = truncation_bound(n, n_terms)
+    n_terms = _terms_needed(n)
+    t = _truncation_bound(n, n_terms)
     log_budget = math.log((0.25 - t) / (2 * n_terms))
     a, p = _alpha_p(n, width)
     a_float, p_float = float(a), float(p)

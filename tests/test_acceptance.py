@@ -22,9 +22,9 @@ from partitions.asymptotics import (
 )
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.dedekind import dedekind_sum, reciprocity_defect
-from partitions.eta import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
 from partitions.exact import PartitionCache, partition_table_dp
 from partitions.farey import farey_sequence, rademacher_path, w_chord, chord_bounds_check, ford_circle
+from partitions.modular import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform
 from partitions.precision import PrecisionContext
 from partitions.rademacher import a_k, default_precision, p_series, r_k
 

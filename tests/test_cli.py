@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import shlex
 import sys
@@ -120,10 +119,8 @@ def test_verify_ceilings_checked_before_any_case(capsys, monkeypatch):
     def no_cases(count):
         raise AssertionError("cases built")
 
-    # the module object itself: a string target "partitions.eta.<name>" resolves to the eta function
-    eta_module = importlib.import_module("partitions.eta")
-    monkeypatch.setattr(eta_module, "eta_verification_cases", no_cases)
-    monkeypatch.setattr(eta_module, "f_transform_cases", no_cases)
+    monkeypatch.setattr("partitions.modular.eta_verification_cases", no_cases)
+    monkeypatch.setattr("partitions.modular.f_transform_cases", no_cases)
     for law in ("eta", "ftransform"):
         for flags, message in (
             (["--samples", str(10**12)], "--samples 1 to 32"),

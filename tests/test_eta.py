@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from partitions.eta import (
+from partitions.exact import PartitionCache, p_exact
+from partitions.modular import (
     conjugate_inverse,
     eta,
     exp_i_pi_rational,
@@ -12,7 +13,6 @@ from partitions.eta import (
     verify_eta,
     verify_f_transform,
 )
-from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
 
 CTX = PrecisionContext(128)

@@ -1,4 +1,6 @@
 import importlib
+import pkgutil
+import types
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,11 @@ from mpmath import mpc
 import partitions
 from launch import python
 from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
-from partitions.eta import conjugate_inverse, verify_eta, verify_f_transform
 from partitions.exact import (
     PartitionCache, cache_load, cache_save, p_exact, p_oracle_dp, partition_table_dp, pentagonal,
 )
 from partitions.farey import contour_triples, farey_sequence, rademacher_path, w_chord
+from partitions.modular import conjugate_inverse, verify_eta, verify_f_transform
 from partitions.rademacher import a_k, default_precision, p_series, r_k, terms_needed, truncation_bound
 
 
@@ -22,8 +24,6 @@ def _run(script):
 
 
 def test_every_exported_name_resolves():
-    import partitions.eta  # noqa: F401 -- binds the submodule the way any import route does
-
     namespace = {}
     exec("from partitions import *", namespace)
     for module, names in partitions._EXPORTS.items():
@@ -35,19 +35,14 @@ def test_every_exported_name_resolves():
     assert set(partitions.__all__) <= set(dir(partitions))
 
 
-@pytest.mark.parametrize("first", ["import partitions.eta", "from partitions import verify_eta"])
-def test_eta_stays_the_function_whichever_import_comes_first(first):
-    # eta is both a submodule and a function; the function must win in a fresh process
-    out = _run(
-        f"{first}\n"
-        "import partitions\n"
-        "from partitions import eta\n"
-        "namespace = {}\n"
-        "exec('from partitions import *', namespace)\n"
-        "assert eta is partitions.eta is namespace['eta']\n"
-        "print(abs(eta(1j)) > 0.76)\n"
-    )
-    assert out == "True\n"
+def test_no_exported_name_is_a_submodule():
+    # so loading a submodule never rebinds an exported name of the package
+    submodules = {module.name for module in pkgutil.iter_modules(partitions.__path__)}
+    assert not submodules & set(partitions.__all__)
+    assert "selberg_sum" not in partitions.__all__
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("partitions.eta")
+    assert type(partitions) is types.ModuleType
 
 
 def test_submodules_are_attributes_after_bare_import():

@@ -10,7 +10,7 @@ from schedule import run_a_then_b
 from partitions import precision, rademacher
 from partitions.asymptotics import leading_term
 from partitions.bessel import bessel_i_series
-from partitions.eta import eta
+from partitions.modular import eta
 from partitions.precision import DEFAULT_CONTEXT, MAX_BITS, PrecisionContext, unlimited_int_str
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from contextlib import nullcontext
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,10 +51,12 @@ def test_alpha_rejects_zero():
 
 
 def test_alpha_at_a_real_n():
-    # a real n, which libmp's from_int would truncate to an integer
+    # a real n, which libmp's from_int would truncate to an integer, and the
+    # rationals that leading_term and tail_ratio_bound take too
     with CTX.workprec():
         expected = mp.pi * mp.sqrt(mpf(2) / 3 * (mpf(1.5) - mpf(1) / 24))
-        assert abs(alpha(1.5, CTX) - expected) < mpf(2) ** -100
+        for n in (1.5, Fraction(3, 2), Decimal("1.5")):
+            assert abs(alpha(n, CTX) - expected) < mpf(2) ** -100, n
 
 
 def test_default_precision_policy():
@@ -135,7 +138,7 @@ def test_p_series_last_term_is_small():
 
 def _at_bits(monkeypatch, bits):
     """Make p_series work at ``bits`` instead of default_precision(n)."""
-    monkeypatch.setattr("partitions.rademacher.default_precision", lambda n: bits)
+    monkeypatch.setattr("partitions.rademacher._default_precision", lambda n: bits)
 
 
 def test_p_series_precision_robustness(monkeypatch):
