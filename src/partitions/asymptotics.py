@@ -18,7 +18,7 @@ from typing import NamedTuple
 from mpmath import mp, mpf
 
 from .exact import PartitionCache, p_exact
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_number
 
 # reference grid used by the error table and the CLI `table --set paper`
 TABLE_NS = (
@@ -36,9 +36,10 @@ class AsymptoticRow(NamedTuple):
 
 def leading_term(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """L(n) = exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if not 1 <= n < math.inf:  # nan fails this too
-        raise ValueError("n must be a finite real number >= 1")
     with ctx.workprec():
+        n = _read_number(n)
+        if not 1 <= n < math.inf:  # nan fails this too
+            raise ValueError("n must be a finite real number >= 1")
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
 
@@ -80,8 +81,9 @@ def zeta_three_halves(ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 def tail_ratio_bound(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """(2 C pi^2 n / 3) exp(-(pi/2) sqrt(2n/3)), C = zeta(3/2) - 1."""
-    if not 1 <= n < math.inf:  # nan fails this too
-        raise ValueError("n must be a finite real number >= 1")
     with ctx.workprec():
+        n = _read_number(n)
+        if not 1 <= n < math.inf:  # nan fails this too
+            raise ValueError("n must be a finite real number >= 1")
         c = zeta_three_halves(ctx) - 1
         return 2 * c * mp.pi**2 * n / 3 * mp.exp(-mp.pi / 2 * mp.sqrt(mpf(2) * n / 3))

@@ -10,7 +10,7 @@ below 2^-(bits+8) of the running total.  That takes about x terms, so the
 cost grows linearly in x (0.1 s at x = 10^4 and 0.8 s at 10^5 on a 2-vCPU
 Xeon VM, at 128 bits), and the series refuses x > 10^5, so that every
 accepted call ends within seconds at any context width.  For nu = 3/2
-the Gamma factors are half-integral and exact:
+the Gamma factors are half-integral, with the closed form
 
     Gamma(j + 5/2) = sqrt(pi) (2j+3)!! / 2^(j+2),
 
@@ -31,11 +31,9 @@ The two routes share no code and serve as mutual oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_number
 
 # largest x the power series accepts (its cost is linear in x)
 _SERIES_MAX_X = 10**5
@@ -52,36 +50,38 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
     Parameters
     ----------
-    nu : order; number, decimal string or Fraction.  nu = 3/2 uses the
-        exact half-integer Gamma seed, every other order Gamma(nu+1).
-    x : argument in [0, 10^5] (number or decimal string).
-    ctx : target precision.
+    nu : real order (int, float, Fraction, Decimal, mpf or decimal string).
+        nu = 3/2 seeds the terms with 3 sqrt(pi)/4, every other order with
+        Gamma(nu+1).
+    x : real argument in [0, 10^5], of the same types.
+    ctx : target precision; nu and x are read once, to nearest, at its width.
     """
     with ctx.workprec():
-        x = mpf(x)
+        x = _read_number(x)
         if not 0 <= x <= _SERIES_MAX_X:
             raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
-        nu_f = mpf(nu.numerator) / nu.denominator if isinstance(nu, Fraction) else mpf(nu)
+        nu = _read_number(nu)
         # the stop test never passes at nu = +inf
-        if not -1 < nu_f < mp.inf:
+        if not -1 < nu < mp.inf:
             raise ValueError("nu must be finite and greater than -1")
         if x == 0:
-            if nu_f < 0:
+            if nu < 0:
                 return mp.inf  # (x/2)^nu -> +inf as x -> 0+
-            return mpf(1) if nu_f == 0 else mpf(0)
+            return mpf(1) if nu == 0 else mpf(0)
         half = x / 2
-        if nu_f == 1.5:
-            seed = 3 * mp.sqrt(mp.pi) / 4  # Gamma(5/2), exact to precision
+        if nu == 1.5:
+            # Gamma(5/2) to about 1 ulp, not mp.gamma's 1/2: the pinned results use it
+            seed = 3 * mp.sqrt(mp.pi) / 4
         else:
-            seed = mp.gamma(nu_f + 1)
-        term = half**nu_f / seed
+            seed = mp.gamma(nu + 1)
+        term = half**nu / seed
         total = term
         thresh = mpf(2) ** -(ctx.bits + _STOP_BITS)
         square = half * half  # once, not once per term: the same rounded value
         j = 0
         while True:
             j += 1
-            term *= square / (j * (nu_f + j))
+            term *= square / (j * (nu + j))
             total += term
             if term < thresh * total:
                 return total
@@ -90,7 +90,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def bessel_i_3_2_closed(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x >= 2^-4096."""
     with ctx.workprec():
-        x = mpf(x)
+        x = _read_number(x)
         if not _CLOSED_MIN_X <= x < mp.inf:
             raise ValueError("closed form requires finite x >= 2^-4096")
         with mp.extraprec(max(0, -2 * mp.mag(x))):

@@ -41,27 +41,28 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
-from mpmath import mp, mpc, mpf, mpmathify
+from mpmath import mp, mpc, mpf
 
 from ._integers import read_int
 from .dedekind import dedekind_sum
-from .precision import DEFAULT_CONTEXT, PrecisionContext
+from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_number
 
 # least Im tau that eta accepts (see the module docstring)
 _IM_TAU_FLOOR = 1e-5
 
 
-def exp_i_pi_rational(t: Fraction, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
-    """exp(i*pi*t) for exact rational t, reduced mod 2 before evaluation."""
-    t %= 2
+def exp_i_pi_rational(t, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
+    """exp(i*pi*t) for t read exactly by ``Fraction(t)`` (so an mpf raises
+    ``TypeError``), reduced mod 2 before evaluation."""
+    t = Fraction(t) % 2
     with ctx.workprec():
-        return mp.expjpi(mpf(t.numerator) / t.denominator)
+        return mp.expjpi(_read_number(t))
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """F(x) = prod_{m>=1} 1/(1 - x^m) for finite |x| <= exp(-2 pi 10^-5) (real or complex)."""
     with ctx.workprec():
-        x = mpmathify(x)
+        x = _read_number(x)
         if not mp.isfinite(x):  # nan passes every comparison below
             raise ValueError("x must be finite")
         if abs(x) >= 1:
@@ -75,7 +76,7 @@ def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     """Dedekind eta, exp(pi i tau/12) times Euler's function of exp(2 pi i tau),
     for finite tau with Im tau >= 10^-5."""
     with ctx.workprec():
-        tau = mpc(tau)
+        tau = mpc(_read_number(tau))
         if not mp.isfinite(tau):  # nan passes every comparison below
             raise ValueError("tau must be finite")
         if tau.imag <= 0:
@@ -101,7 +102,7 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
     if c <= 0:
         raise ValueError("c must be positive")
     with ctx.workprec():
-        tau = mpc(tau)
+        tau = mpc(_read_number(tau))
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
         image = (a * tau + b) / (c * tau + d)
@@ -145,7 +146,7 @@ def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEX
         raise ValueError("need 1 <= h <= k")
     H = conjugate_inverse(h, k)
     with ctx.workprec():
-        z = mpc(z)
+        z = mpc(_read_number(z))
         if not mp.isfinite(z):  # nan passes every comparison below
             raise ValueError("z must be finite")
         if z.real <= 0:

@@ -2,7 +2,9 @@
 
 A :class:`PrecisionContext` is a checked width and nothing more: it pins the
 working precision in bits; functions returning mpmath values compute inside
-``with ctx.workprec():`` and own their stop rules and input conversions.
+``with ctx.workprec():`` and own their stop rules.  Their real and complex
+arguments are read there by one rule, ``_read_number``: once, to nearest,
+at the working width.
 This module holds the package's two writers of process-wide state, each
 holding the private re-entrant ``_STATE_LOCK`` for its whole block, so
 threads' blocks run one at a time: ``workprec`` sets mpmath's precision
@@ -28,9 +30,11 @@ import sys
 import threading
 from collections import namedtuple
 from contextlib import contextmanager
+from numbers import Rational
 from operator import index
 
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 # extra working bits inside evaluation loops, so accumulated rounding stays
 # below the advertised precision
@@ -68,6 +72,18 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
 
 
 DEFAULT_CONTEXT = PrecisionContext(128)
+
+
+def _read_number(x):
+    """``x`` as an mpf or mpc, rounded once to nearest at the working precision
+    of the caller's ``workprec()`` block: an int or ``Fraction`` from its exact
+    p/q, a str as a real decimal or p/q (else ``ValueError``), and a float,
+    complex, ``Decimal``, mpf or mpc through ``mp.convert``, a NaN of each as nan."""
+    if isinstance(x, Rational):
+        return mp.make_mpf(from_rational(int(x.numerator), int(x.denominator), mp.prec, round_nearest))
+    if isinstance(x, str):
+        return mp.mpf(x)
+    return +mp.convert(x)
 
 
 @contextmanager

@@ -1,20 +1,29 @@
 import importlib
 import pkgutil
+import re
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from mpmath import mpc
+from mpmath import mpc, mpf
 
 import partitions
 from launch import python
+from partitions.asymptotics import leading_term, tail_ratio_bound
+from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.exact import (
     PartitionCache, cache_load, cache_save, p_exact, p_oracle_dp, partition_table_dp, pentagonal,
 )
 from partitions.farey import contour_triples, farey_sequence, rademacher_path, w_chord
-from partitions.modular import conjugate_inverse, verify_eta, verify_f_transform
-from partitions.rademacher import a_k, default_precision, p_series, r_k, terms_needed, truncation_bound
+from partitions.modular import (
+    conjugate_inverse, eta, exp_i_pi_rational, generating_function, verify_eta, verify_f_transform,
+)
+from partitions.precision import PrecisionContext
+from partitions.rademacher import (
+    a_k, alpha, default_precision, p_series, r_k, terms_needed, truncation_bound,
+)
 
 
 def _run(script):
@@ -205,3 +214,87 @@ def test_integer_arguments_are_read_by_operator_index(name, tmp_path):
     for x, same in ((_Index(value), value), (True, 1)):
         got, want = call(x, PartitionCache(), path), call(same, PartitionCache(), path)
         assert got == want and repr(got) == repr(want), (x, got, want)
+
+
+_REAL_N = "n must be a finite real number >= 1"
+
+# each entry point that takes a real or complex number, as a call with x in
+# place of that argument; the ValueError it raises for a NaN or an infinity;
+# a Fraction that is not dyadic, so that rounding it down and to nearest
+# differ; and a decimal string that a float holds exactly.  eta and
+# verify_eta refuse every real tau, so their rows compare the refusals
+_NUMBER_ARGUMENTS = {
+    "alpha": (alpha, _REAL_N, Fraction(4, 3), "2.5"),
+    "leading_term": (leading_term, _REAL_N, Fraction(4, 3), "2.5"),
+    "tail_ratio_bound": (tail_ratio_bound, _REAL_N, Fraction(4, 3), "2.5"),
+    "bessel_i_series[nu]": (lambda x, ctx: bessel_i_series(x, 2, ctx), "nu must be finite and greater than -1",
+                            Fraction(4, 3), "2.5"),
+    "bessel_i_series[x]": (lambda x, ctx: bessel_i_series(Fraction(3, 2), x, ctx), "x must lie in [0, 100000]",
+                           Fraction(4, 3), "2.5"),
+    "bessel_i_3_2_closed": (bessel_i_3_2_closed, "closed form requires finite x >= 2^-4096", Fraction(4, 3), "2.5"),
+    "eta": (eta, "tau must be finite", Fraction(4, 3), "2.5"),
+    "verify_eta": (lambda x, ctx: verify_eta((1, 1, 1, 2), x, ctx).rhs, "tau must lie in the upper half-plane",
+                   Fraction(4, 3), "2.5"),
+    "generating_function": (generating_function, "x must be finite", Fraction(1, 3), "0.25"),
+    "verify_f_transform": (lambda x, ctx: verify_f_transform(1, 3, x, ctx), "z must be finite",
+                           Fraction(4, 3), "2.5"),
+}
+
+
+def _outcome(call, x, ctx):
+    """The bits of ``call(x, ctx)``, or the message of the ValueError it raises."""
+    try:
+        value = call(x, ctx)
+    except ValueError as exc:
+        return str(exc)
+    return value._mpc_ if isinstance(value, mpc) else value._mpf_
+
+
+@pytest.mark.parametrize("name", _NUMBER_ARGUMENTS)
+def test_number_arguments_refuse_a_decimal_nan_or_infinity(name):
+    # with the function's own ValueError, as for a float nan or inf
+    call, message, _, _ = _NUMBER_ARGUMENTS[name]
+    for bad in (Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad, PrecisionContext())
+
+
+@pytest.mark.parametrize("name", _NUMBER_ARGUMENTS)
+@pytest.mark.parametrize("bits", [64, 256])
+def test_number_arguments_read_a_fraction_to_nearest(name, bits):
+    # a Fraction is its p/q rounded once, to nearest, at the working width
+    call, _, fraction, _ = _NUMBER_ARGUMENTS[name]
+    ctx = PrecisionContext(bits)
+    with ctx.workprec():
+        nearest = mpf(fraction.numerator) / fraction.denominator
+    assert _outcome(call, fraction, ctx) == _outcome(call, nearest, ctx)
+
+
+@pytest.mark.parametrize("name", _NUMBER_ARGUMENTS)
+def test_number_arguments_take_a_decimal_and_a_string_like_a_float(name):
+    call, _, _, decimal = _NUMBER_ARGUMENTS[name]
+    for bits in (64, 256):
+        ctx = PrecisionContext(bits)
+        want = _outcome(call, float(decimal), ctx)
+        assert _outcome(call, Decimal(decimal), ctx) == want == _outcome(call, decimal, ctx), bits
+
+
+# t of exp_i_pi_rational, read exactly by Fraction(t), and the Fraction it stands for
+_EXACT_RATIONALS = {
+    "int": (3, Fraction(3)),
+    "float": (0.5, Fraction(1, 2)),
+    "Decimal": (Decimal("0.1"), Fraction(1, 10)),
+    "str": ("1/3", Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", _EXACT_RATIONALS)
+def test_exp_i_pi_rational_reads_t_exactly(kind):
+    t, exact = _EXACT_RATIONALS[kind]
+    assert exp_i_pi_rational(t)._mpc_ == exp_i_pi_rational(exact)._mpc_
+
+
+@pytest.mark.parametrize("t", [mpf(0.5), None], ids=["mpf", "None"])
+def test_exp_i_pi_rational_refuses_an_inexact_t(t):
+    with pytest.raises(TypeError):
+        exp_i_pi_rational(t)
