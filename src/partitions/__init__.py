@@ -33,7 +33,7 @@ _EXPORTS = {
     "bessel": "bessel_i_3_2_closed bessel_i_series",
     "dedekind": "dedekind_sum reciprocity_defect selberg_roots",
     "exact": "ORACLE_LIMIT CacheFormatError PartitionCache PentagonalPair cache_load "
-             "cache_save p_exact p_oracle_dp partition_table_dp pentagonal",
+             "cache_lookup cache_save p_exact p_oracle_dp partition_table_dp pentagonal",
     "farey": "FordCircle QPoint TangencyPair WChord arc_length_bound_check "
              "chord_bounds_check farey_neighbors_check farey_sequence ford_circle "
              "ford_tangency_class rademacher_path tangency_points w_chord",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_number
+from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_real
 
 # largest x the power series accepts (its cost is linear in x)
 _SERIES_MAX_X = 10**5
@@ -57,10 +57,10 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     ctx : target precision; nu and x are read once, to nearest, at its width.
     """
     with ctx.workprec():
-        x = _read_number(x)
+        x = _read_real(x, "x")
         if not 0 <= x <= _SERIES_MAX_X:
             raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
-        nu = _read_number(nu)
+        nu = _read_real(nu, "nu")
         # the stop test never passes at nu = +inf
         if not -1 < nu < mp.inf:
             raise ValueError("nu must be finite and greater than -1")
@@ -90,7 +90,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def bessel_i_3_2_closed(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x >= 2^-4096."""
     with ctx.workprec():
-        x = _read_number(x)
+        x = _read_real(x, "x")
         if not _CLOSED_MIN_X <= x < mp.inf:
             raise ValueError("closed form requires finite x >= 2^-4096")
         with mp.extraprec(max(0, -2 * mp.mag(x))):

@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from .exact import PartitionCache, cache_load, cache_save, p_exact
+from .exact import PartitionCache, cache_load, cache_lookup, cache_save, p_exact
 
 # The mpmath-backed modules, json and fractions are imported inside the
 # handlers that use them, so `partitions exact N` never pays for them.
@@ -42,7 +42,8 @@ def _frac_str(x: Fraction) -> str:
 @contextmanager
 def _cached(path, upto):
     """The cache at ``path`` read through p(upto) (empty if none), saved
-    afterwards if it grew; it grows only when the whole file was read."""
+    afterwards if it grew; it grows only when the whole file was read.
+    ``exact`` comes here only when :func:`cache_lookup` finds no p(n)."""
     loaded = bool(path) and os.path.exists(path)
     cache = cache_load(path, upto) if loaded else PartitionCache()
     loaded_max_n = cache.max_n if loaded else -1
@@ -124,8 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    with _cached(args.cache, args.n) as cache:
-        value = p_exact(args.n, cache)
+    value = cache_lookup(args.cache, args.n) if args.cache and os.path.exists(args.cache) else None
+    if value is None:
+        with _cached(args.cache, args.n) as cache:
+            value = p_exact(args.n, cache)
     if args.format == "json":
         import json
 

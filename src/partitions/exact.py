@@ -108,9 +108,7 @@ class PartitionCache:
         where the next run reads first.  Each p(m) is two C-level sums, one
         per sign, with no Python bytecode per term and no copy of the table.
         """
-        n = index(n)
-        if n > _MAX_N:
-            raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
+        n = _below_ceiling(index(n))
         vals = self._values
         m = len(vals)
         if n < m:
@@ -131,6 +129,13 @@ class PartitionCache:
             for v in itertools.islice(map(sub, adds, subs), stop - m):
                 append(v)
             m = stop
+
+
+def _below_ceiling(n: int) -> int:
+    """n, refused above ``_MAX_N`` with the recurrence's message."""
+    if n > _MAX_N:
+        raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
+    return n
 
 
 def _iter_at(seq: list, i: int):
@@ -193,7 +198,8 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
 
     With ``upto``, only the lines for p(0..upto) are read (at least line 0),
     so damage further on goes unseen; a result with ``max_n < upto`` means
-    the whole file was read.
+    the whole file was read.  :func:`cache_lookup` reads one value without
+    the prefix.
 
     Each line is parsed once.  A line that fails the combined test is named
     for the first rule it breaks, in order: a line end, the 'n,p(n)' shape
@@ -230,3 +236,42 @@ def cache_load(path, upto: int | None = None) -> PartitionCache:
     cache = PartitionCache()
     cache._values = values  # checked line by line above; the constructor would check again
     return cache
+
+
+def cache_lookup(path, n: int) -> int | None:
+    """p(n) from the cache file at ``path``, found by bisection over its bytes.
+
+    n is read by p_exact's rules before the file is opened.  The lines are
+    sorted by n, so about log2(file size) lines are read: the probes and
+    the line for n; damage on a line it does not read goes unseen.  The
+    value is returned only if that line passes :func:`cache_load`'s test of
+    a line (and p(0) = 1); None means the file ends before n or a line read
+    fails, and :func:`cache_load` then names the fault.  Lines are parsed
+    as bytes, so bare CR line ends and non-ASCII digits give None.
+    """
+    n = _below_ceiling(read_int(n, "n", low=0))
+    line = None  # (n, p(n), has a line end) of the line the probe at byte hi read; None: the end
+    with open(path, "rb") as fh:
+        lo, hi = 0, fh.seek(0, os.SEEK_END)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            fh.seek(mid)
+            if mid:
+                fh.readline()  # on to the first line that starts after byte mid
+            raw = fh.readline()
+            if not raw:  # mid lies on the last line, so no probe has found a line yet
+                hi = mid
+                continue
+            left, _, right = raw.partition(b",")
+            try:
+                probe = int(left), int(right), raw.endswith(b"\n")
+            except ValueError:
+                return None
+            if probe[0] < n:
+                lo = mid + 1
+            else:
+                hi, line = mid, probe
+    if line is None:
+        return None
+    key, value, ended = line
+    return value if key == n and value >= 1 and ended and (n > 0 or value == 1) else None

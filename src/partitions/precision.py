@@ -4,7 +4,8 @@ A :class:`PrecisionContext` is a checked width and nothing more: it pins the
 working precision in bits; functions returning mpmath values compute inside
 ``with ctx.workprec():`` and own their stop rules.  Their real and complex
 arguments are read there by one rule, ``_read_number``: once, to nearest,
-at the working width.
+at the working width; ``_read_real`` refuses a complex one where only a
+real is meant.
 This module holds the package's two writers of process-wide state, each
 holding the private re-entrant ``_STATE_LOCK`` for its whole block, so
 threads' blocks run one at a time: ``workprec`` sets mpmath's precision
@@ -84,6 +85,14 @@ def _read_number(x):
     if isinstance(x, str):
         return mp.mpf(x)
     return +mp.convert(x)
+
+
+def _read_real(x, name: str):
+    """``x`` read by :func:`_read_number`; ``TypeError`` naming ``name`` if it is complex."""
+    x = _read_number(x)
+    if isinstance(x, mp.mpc):
+        raise TypeError(f"{name} must be real")
+    return x
 
 
 @contextmanager

@@ -105,7 +105,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_abs, mpf_add, 
 
 from ._integers import read_int
 from .dedekind import _MAX_K, selberg_roots
-from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT, _read_number
+from .precision import GUARD_BITS, PrecisionContext, DEFAULT_CONTEXT, _read_real
 
 _LN2 = math.log(2)
 _ROOT3 = math.sqrt(3)
@@ -181,7 +181,7 @@ def default_precision(n: int) -> int:
 def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """alpha(n) = pi sqrt((2/3)(n - 1/24)) for a finite real n >= 1; positive, increasing in n."""
     with ctx.workprec():
-        n = _read_number(n)
+        n = _read_real(n, "n")
         if not 1 <= n < math.inf:  # nan fails this too
             raise ValueError("n must be a finite real number >= 1")
         return mp.pi * mp.sqrt((mpf(2) * n - mpf(1) / 12) / 3)

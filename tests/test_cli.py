@@ -8,8 +8,9 @@ import pytest
 
 import launch
 from schedule import run_a_then_b
+from test_exact import LINE_DAMAGE, P_ORACLE
 from partitions import cli
-from partitions.exact import cache_load
+from partitions.exact import CacheFormatError, cache_load
 from partitions.rademacher import p_series
 
 RESIDUES_PATH = Path(__file__).with_name("partition_residues.json")
@@ -236,6 +237,39 @@ def test_negative_n_with_cache_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "n must be nonnegative" in err
+
+
+def test_cache_hit_reads_no_prefix(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache.csv"
+    run(["--cache", str(path), "exact", "30"], capsys)
+    saved = path.read_bytes()
+
+    def no_load(*args):
+        raise AssertionError("a cache hit read the prefix")
+
+    monkeypatch.setattr(cli, "cache_load", no_load)
+    for n in (0, 15, 30):
+        p = P_ORACLE[n]
+        outputs = {"plain": f"{p}\n", "csv": f"n,p_n\n{n},{p}\n", "json": f'{{"n": {n}, "p": "{p}"}}\n'}
+        for fmt, out in outputs.items():
+            assert run(["--format", fmt, "--cache", str(path), "exact", str(n)], capsys) == (0, out, "")
+    assert path.read_bytes() == saved
+
+
+@pytest.mark.parametrize("n", [0, 5, 10])
+@pytest.mark.parametrize("kind", LINE_DAMAGE)
+def test_damage_on_the_line_for_n_falls_back_to_the_prefix_read(tmp_path, capsys, kind, n):
+    # the fallback names the line as a prefix read of p(0..n) does, and exits 2
+    damage, _ = LINE_DAMAGE[kind]
+    lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
+    lines[n:n + 1] = damage(n)
+    if not lines[n].endswith("\n"):  # a line with no line end is the file's last
+        del lines[n + 1:]
+    path = tmp_path / "cache.csv"
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(CacheFormatError) as info:
+        cache_load(path, n)
+    assert run(["--cache", str(path), "exact", str(n)], capsys) == (2, "", f"error: {info.value}\n")
 
 
 # The CLI's contract: every subcommand, each --format where one is honoured,

@@ -17,6 +17,7 @@ from partitions.exact import (
     ORACLE_LIMIT,
     PartitionCache,
     cache_load,
+    cache_lookup,
     cache_save,
     p_exact,
     p_oracle_dp,
@@ -415,6 +416,66 @@ def test_cache_load_negative_upto_reads_line_0(tmp_path):
     path.write_text("")
     with pytest.raises(CacheFormatError, match="empty"):
         cache_load(path, upto=-1)
+
+
+@given(st.lists(st.integers(1, 10**80), max_size=300))
+@settings(max_examples=30, deadline=None)
+def test_cache_lookup_matches_cache_load(tail):
+    # a table of random positive values with p(0) = 1, as cache_save writes it
+    # and rewritten with spaces and CRLF line ends: the lines differ in length
+    cache = PartitionCache([1, *tail])
+    max_n = cache.max_n
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        cache_save(cache, path)
+        saved = Path(path).read_text()
+        spaced = "".join(f" {n} ,\t{v} \r\n" for n, v in enumerate(cache._values))
+        for text in (saved, spaced):
+            Path(path).write_text(text, newline="")
+            loaded = cache_load(path)
+            assert [cache_lookup(path, n) for n in range(max_n + 1)] == [loaded[n] for n in range(max_n + 1)]
+            assert [cache_lookup(path, n) for n in range(max_n + 1, max_n + 6)] == [None] * 5
+
+
+def test_cache_lookup_of_an_empty_file_or_a_wrong_p0_is_none(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("")
+    assert [cache_lookup(path, n) for n in range(3)] == [None] * 3
+    path.write_text("0,2\n1,1\n")
+    assert [cache_lookup(path, n) for n in range(3)] == [None, 1, None]
+
+
+@pytest.mark.parametrize("n, message", [(-1, "n must be nonnegative"),
+                                        (10**5 + 1, "n must be at most 100000 for the exact recurrence")])
+def test_cache_lookup_reads_n_before_the_file(tmp_path, n, message):
+    # p_exact's own refusals, raised before the missing file is opened
+    for call in (p_exact, lambda n: cache_lookup(tmp_path / "missing.csv", n)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(n)
+
+
+def test_cache_lookup_leaves_bare_cr_and_non_ascii_digits_to_cache_load(tmp_path):
+    # cache_load reads text with universal newlines and Unicode digits; the
+    # byte-wise lookup finds no line for n and so falls back to it
+    path = tmp_path / "p.csv"
+    for text in ("".join(f"{m},{P_ORACLE[m]}\r" for m in range(21)),
+                 "".join(f"{m},{P_ORACLE[m]}\n" for m in range(21)).replace("7", "\u0667")):
+        path.write_text(text, encoding="utf-8", newline="")
+        assert cache_load(path) == PartitionCache(P_ORACLE[:21])
+        assert cache_lookup(path, 20) is None
+
+
+def test_cache_lookup_skips_damage_it_does_not_read(tmp_path):
+    # the bisection for the last n reads only the upper half of the file, so
+    # damage on line 2 refuses the prefix read but not that hit
+    path = tmp_path / "p.csv"
+    lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
+    lines[1] = "1,x\n"
+    path.write_text("".join(lines))
+    assert cache_lookup(path, 20) == P_ORACLE[20]
+    assert cache_lookup(path, 1) is None
+    with pytest.raises(CacheFormatError, match="line 2: malformed integer"):
+        cache_load(path, 20)
 
 
 # the calling writer's two stops: ``half``, with half of its table handed to

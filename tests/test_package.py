@@ -14,7 +14,8 @@ from partitions.asymptotics import leading_term, tail_ratio_bound
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.exact import (
-    PartitionCache, cache_load, cache_save, p_exact, p_oracle_dp, partition_table_dp, pentagonal,
+    PartitionCache, cache_load, cache_lookup, cache_save, p_exact, p_oracle_dp, partition_table_dp,
+    pentagonal,
 )
 from partitions.farey import contour_triples, farey_sequence, rademacher_path, w_chord
 from partitions.modular import (
@@ -165,6 +166,7 @@ _INTEGER_ARGUMENTS = {
     "partition_table_dp": (lambda x, cache, path: partition_table_dp(x), 7),
     "p_oracle_dp": (lambda x, cache, path: p_oracle_dp(x), 7),
     "cache_load": (lambda x, cache, path: cache_load(path, upto=x), 5),
+    "cache_lookup": (lambda x, cache, path: cache_lookup(path, x), 5),
     "PartitionCache": (lambda x, cache, path: PartitionCache([1, x])[1], 2),
     "PartitionCache[n]": (lambda x, cache, path: PartitionCache([1, 1, 2, 3])[x], 3),
     "default_precision": (lambda x, cache, path: default_precision(x), 100),
@@ -277,6 +279,27 @@ def test_number_arguments_take_a_decimal_and_a_string_like_a_float(name):
         ctx = PrecisionContext(bits)
         want = _outcome(call, float(decimal), ctx)
         assert _outcome(call, Decimal(decimal), ctx) == want == _outcome(call, decimal, ctx), bits
+
+
+# each entry point that takes only a real number, and the name of that argument
+_REAL_ARGUMENTS = {
+    "alpha": (alpha, "n"),
+    "leading_term": (leading_term, "n"),
+    "tail_ratio_bound": (tail_ratio_bound, "n"),
+    "bessel_i_series[nu]": (lambda x, ctx: bessel_i_series(x, 2, ctx), "nu"),
+    "bessel_i_series[x]": (lambda x, ctx: bessel_i_series(Fraction(3, 2), x, ctx), "x"),
+    "bessel_i_3_2_closed": (bessel_i_3_2_closed, "x"),
+}
+
+
+@pytest.mark.parametrize("name", _REAL_ARGUMENTS)
+@pytest.mark.parametrize("kind", [complex, mpc])
+def test_real_arguments_refuse_a_complex_by_name(name, kind):
+    # a zero imaginary part too: the type is refused, not the value
+    call, argument = _REAL_ARGUMENTS[name]
+    for z in (kind(2, 1), kind(2, 0)):
+        with pytest.raises(TypeError, match=f"^{argument} must be real$"):
+            call(z, PrecisionContext())
 
 
 # t of exp_i_pi_rational, read exactly by Fraction(t), and the Fraction it stands for
