@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines; __all__ and the lookup table derive from it
 _EXPORTS = {
-    "asymptotics": "TABLE_NS AsymptoticRow display_eps error_table_csv leading_term "
+    "asymptotics": "TABLE_NS AsymptoticRow display_eps error_row error_table_csv leading_term "
                    "relative_error_table tail_ratio_bound zeta_three_halves",
     "bessel": "bessel_i_3_2_closed bessel_i_series",
     "dedekind": "dedekind_sum reciprocity_defect selberg_roots",

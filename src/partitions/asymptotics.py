@@ -43,22 +43,22 @@ def leading_term(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
 
-def relative_error_table(ns, cache: PartitionCache | None = None) -> list[AsymptoticRow]:
-    """Rows (n, p(n), L(n), eps(n)); exact values computed on demand.
+def error_row(n, p_n: int) -> AsymptoticRow:
+    """The row (n, p(n), L(n), eps(n)) for a given exact p(n).
 
     eps is kept at full precision; use :func:`display_eps` for the
     two-decimal presentation.
     """
-    if cache is None:
-        cache = PartitionCache()
-    rows = []
-    for n in ns:
-        p = p_exact(n, cache)
-        with DEFAULT_CONTEXT.workprec():
-            l_value = leading_term(n)
-            eps = (mpf(p) - l_value) / mpf(p) * 100
-        rows.append(AsymptoticRow(n=n, p_n=p, l_n=l_value, eps_percent=eps))
-    return rows
+    with DEFAULT_CONTEXT.workprec():
+        l_value = leading_term(n)
+        eps = (mpf(p_n) - l_value) / mpf(p_n) * 100
+    return AsymptoticRow(n=n, p_n=p_n, l_n=l_value, eps_percent=eps)
+
+
+def relative_error_table(ns, cache: PartitionCache | None = None) -> list[AsymptoticRow]:
+    """:func:`error_row` for each n in ``ns``, with p(n) computed on demand in ``cache``."""
+    cache = PartitionCache() if cache is None else cache
+    return [error_row(n, p_exact(n, cache)) for n in ns]
 
 
 def display_eps(eps) -> str:

@@ -40,14 +40,19 @@ def _frac_str(x: Fraction) -> str:
 
 
 @contextmanager
-def _cached(path, upto):
-    """The cache at ``path`` read through p(upto) (empty if none), saved
-    afterwards if it grew; it grows only when the whole file was read.
-    ``exact`` comes here only when :func:`cache_lookup` finds no p(n)."""
-    loaded = bool(path) and os.path.exists(path)
-    cache = cache_load(path, upto) if loaded else PartitionCache()
-    loaded_max_n = cache.max_n if loaded else -1
-    yield cache
+def _p_values(path, ns):
+    """[p(n) for n in ns], each looked up in the cache file at ``path`` by
+    :func:`cache_lookup`.  If any is not found, the whole file is read (an
+    empty table if there is none), which names its first damaged line, and
+    the table is extended and saved once the block ends without error."""
+    exists = bool(path) and os.path.exists(path)
+    hits = [cache_lookup(path, n) for n in ns] if exists else None
+    if hits is not None and None not in hits:
+        yield hits
+        return
+    cache = cache_load(path) if exists else PartitionCache()
+    loaded_max_n = cache.max_n if exists else -1
+    yield [p_exact(n, cache) for n in ns]
     if path and cache.max_n > loaded_max_n:
         cache_save(cache, path)
 
@@ -125,10 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    value = cache_lookup(args.cache, args.n) if args.cache and os.path.exists(args.cache) else None
-    if value is None:
-        with _cached(args.cache, args.n) as cache:
-            value = p_exact(args.n, cache)
+    with _p_values(args.cache, [args.n]) as (value,):
+        pass
     if args.format == "json":
         import json
 
@@ -176,10 +179,10 @@ def _cmd_series(args) -> int:
 def _cmd_asym(args) -> int:
     from mpmath import mp
 
-    from .asymptotics import display_eps, error_table_csv, relative_error_table
+    from .asymptotics import display_eps, error_row, error_table_csv
 
-    with _cached(args.cache, args.n) as cache:
-        row = relative_error_table([args.n], cache)[0]
+    with _p_values(args.cache, [args.n]) as (p_n,):
+        row = error_row(args.n, p_n)
     if args.format == "json":
         import json
 
@@ -198,7 +201,7 @@ def _cmd_asym(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .asymptotics import TABLE_NS, error_table_csv, relative_error_table
+    from .asymptotics import TABLE_NS, error_row, error_table_csv
 
     if args.table_set == "paper":
         ns = list(TABLE_NS)
@@ -209,8 +212,8 @@ def _cmd_table(args) -> int:
             raise ValueError("--list expects comma-separated integers") from None
         if not ns:
             raise ValueError("--list expects at least one integer")
-    with _cached(args.cache, max(ns)) as cache:
-        rows = relative_error_table(ns, cache)
+    with _p_values(args.cache, ns) as values:
+        rows = [error_row(n, p_n) for n, p_n in zip(ns, values)]
     print(error_table_csv(rows))
     return 0
 

@@ -193,35 +193,29 @@ def cache_save(cache: PartitionCache, path) -> None:
         raise
 
 
-def cache_load(path, upto: int | None = None) -> PartitionCache:
-    """Read a cache file, validating order, contiguity and integer syntax.
+def cache_load(path) -> PartitionCache:
+    """Read a whole cache file, validating order, contiguity and integer syntax.
 
-    With ``upto``, only the lines for p(0..upto) are read (at least line 0),
-    so damage further on goes unseen; a result with ``max_n < upto`` means
-    the whole file was read.  :func:`cache_lookup` reads one value without
-    the prefix.
-
-    Each line is parsed once.  A line that fails the combined test is named
-    for the first rule it breaks, in order: a line end, the 'n,p(n)' shape
-    and integer syntax, then n, then p(n) >= 1.
+    Each line is parsed once, as bytes.  A line that fails the combined test
+    is named for the first rule it breaks, in order: a line end, the
+    'n,p(n)' shape and integer syntax, then n, then p(n) >= 1.
     """
     values = []
     append = values.append
-    stop = None if upto is None else max(index(upto), 0) + 1
-    with open(path, encoding="utf-8") as fh:
-        for expected, raw in enumerate(itertools.islice(fh, stop)):
+    with open(path, "rb") as fh:
+        for expected, raw in enumerate(fh):
             # a second comma ends up in ``right`` and a missing one leaves it
             # empty, so int() refuses both
-            left, _, right = raw.partition(",")
+            left, _, right = raw.partition(b",")
             try:
                 n, v = int(left), int(right)
             except ValueError:
                 n = None
-            if n != expected or v < 1 or raw[-1] != "\n":
-                if raw[-1] != "\n":
+            if n != expected or v < 1 or raw[-1] != 10:  # 10 is the byte b"\n"
+                if raw[-1] != 10:
                     problem = "truncated (no line end)"
                 elif n is None:
-                    problem = "expected 'n,p(n)'" if raw.count(",") != 1 else "malformed integer"
+                    problem = "expected 'n,p(n)'" if raw.count(b",") != 1 else "malformed integer"
                 elif n != expected:
                     order = "gap in n" if n > expected else "n out of order"
                     problem = f"{order} (expected {expected}, found {n})"
@@ -243,14 +237,14 @@ def cache_lookup(path, n: int) -> int | None:
 
     n is read by p_exact's rules before the file is opened.  The lines are
     sorted by n, so about log2(file size) lines are read: the probes and
-    the line for n; damage on a line it does not read goes unseen.  The
-    value is returned only if that line passes :func:`cache_load`'s test of
-    a line (and p(0) = 1); None means the file ends before n or a line read
-    fails, and :func:`cache_load` then names the fault.  Lines are parsed
-    as bytes, so bare CR line ends and non-ASCII digits give None.
+    the line for n; damage on a line it does not read goes unseen.  Each
+    line read must hold 'n,p(n)' with p(n) >= 1 and a line end, as in
+    :func:`cache_load`, and the value comes from the line for n (p(0) = 1).
+    So None means that n lies past the end of a file :func:`cache_load`
+    accepts, or that :func:`cache_load` refuses the file and names the fault.
     """
     n = _below_ceiling(read_int(n, "n", low=0))
-    line = None  # (n, p(n), has a line end) of the line the probe at byte hi read; None: the end
+    found = None  # p(n) from the line the probe at byte hi read, if that line is for n
     with open(path, "rb") as fh:
         lo, hi = 0, fh.seek(0, os.SEEK_END)
         while lo < hi:
@@ -264,14 +258,13 @@ def cache_lookup(path, n: int) -> int | None:
                 continue
             left, _, right = raw.partition(b",")
             try:
-                probe = int(left), int(right), raw.endswith(b"\n")
+                key, value = int(left), int(right)
             except ValueError:
                 return None
-            if probe[0] < n:
+            if value < 1 or raw[-1] != 10:
+                return None
+            if key < n:
                 lo = mid + 1
             else:
-                hi, line = mid, probe
-    if line is None:
-        return None
-    key, value, ended = line
-    return value if key == n and value >= 1 and ended and (n > 0 or value == 1) else None
+                hi, found = mid, value if key == n else None
+    return found if n or found == 1 else None

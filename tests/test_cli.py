@@ -241,11 +241,13 @@ def test_negative_n_with_cache_is_a_usage_error(tmp_path, capsys):
 
 def test_cache_hit_reads_no_prefix(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cache.csv"
-    run(["--cache", str(path), "exact", "30"], capsys)
+    run(["--cache", str(path), "exact", "15000"], capsys)
     saved = path.read_bytes()
+    error_rows = [["asym", "15"], ["table", "--list", "0,15,30"], ["table", "--set", "paper"]]
+    uncached = [run(argv, capsys) for argv in error_rows]
 
     def no_load(*args):
-        raise AssertionError("a cache hit read the prefix")
+        raise AssertionError("a cache hit read the whole file")
 
     monkeypatch.setattr(cli, "cache_load", no_load)
     for n in (0, 15, 30):
@@ -253,13 +255,46 @@ def test_cache_hit_reads_no_prefix(tmp_path, capsys, monkeypatch):
         outputs = {"plain": f"{p}\n", "csv": f"n,p_n\n{n},{p}\n", "json": f'{{"n": {n}, "p": "{p}"}}\n'}
         for fmt, out in outputs.items():
             assert run(["--format", fmt, "--cache", str(path), "exact", str(n)], capsys) == (0, out, "")
+    # asym and table look each p(n) up too; table --list 0,... is refused by
+    # L(0), as it is with no cache
+    assert [run(["--cache", str(path), *argv], capsys) for argv in error_rows] == uncached
+    assert [code for code, _, _ in uncached] == [0, 2, 0]
     assert path.read_bytes() == saved
+
+
+def test_refused_call_writes_no_cache(tmp_path, capsys):
+    # p(n) is computed before L(n) refuses n, but the table is saved only
+    # once the rows are built
+    path = tmp_path / "cache.csv"
+    for argv in (["asym", "0"], ["table", "--list", "5,0"]):
+        code, out, err = run(["--cache", str(path), *argv], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert not path.exists()
+
+
+def test_one_miss_among_hits_extends_and_saves_the_cache(tmp_path, capsys):
+    path = tmp_path / "cache.csv"
+    run(["--cache", str(path), "exact", "30"], capsys)
+    argv = ["table", "--list", "5,40,25"]
+    assert run(["--cache", str(path), *argv], capsys) == run(argv, capsys)
+    assert cache_load(path).max_n == 40
+
+
+def test_damaged_line_read_by_a_hit_fails_the_call(tmp_path, capsys):
+    # p(0..30) cut short by 3 bytes: the bisection for n = 29 reads the last
+    # line, so the whole read names it; the one for n = 5 never reaches it
+    path = tmp_path / "cache.csv"
+    run(["--cache", str(path), "exact", "30"], capsys)
+    path.write_bytes(path.read_bytes()[:-3])
+    assert run(["--cache", str(path), "exact", "29"], capsys) == (
+        2, "", f"error: {path}: line 31: truncated (no line end)\n")
+    assert run(["--cache", str(path), "exact", "5"], capsys) == (0, "7\n", "")
 
 
 @pytest.mark.parametrize("n", [0, 5, 10])
 @pytest.mark.parametrize("kind", LINE_DAMAGE)
 def test_damage_on_the_line_for_n_falls_back_to_the_prefix_read(tmp_path, capsys, kind, n):
-    # the fallback names the line as a prefix read of p(0..n) does, and exits 2
+    # the lookup finds no p(n), so the whole read names the line, and the call exits 2
     damage, _ = LINE_DAMAGE[kind]
     lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
     lines[n:n + 1] = damage(n)
@@ -268,7 +303,7 @@ def test_damage_on_the_line_for_n_falls_back_to_the_prefix_read(tmp_path, capsys
     path = tmp_path / "cache.csv"
     path.write_text("".join(lines), newline="")
     with pytest.raises(CacheFormatError) as info:
-        cache_load(path, n)
+        cache_load(path)
     assert run(["--cache", str(path), "exact", str(n)], capsys) == (2, "", f"error: {info.value}\n")
 
 

@@ -327,26 +327,6 @@ def test_cache_save_failure_keeps_old_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
 
 
-@pytest.mark.parametrize(
-    "damage, message",
-    [
-        (lambda data: data.replace(b"\n31,6842\n", b"\n31,68x2\n"), "line 32: malformed integer"),
-        (lambda data: data.replace(b"\n31,6842\n", b"\n"), "line 32: gap"),
-        (lambda data: data[:-2], "line 41: truncated"),
-    ],
-    ids=["malformed", "gap", "truncated"],
-)
-def test_cache_load_upto_ignores_damage_past_it(tmp_path, damage, message):
-    path = tmp_path / "p.csv"
-    cache_save(PartitionCache(P_ORACLE[:41]), path)
-    path.write_bytes(damage(path.read_bytes()))
-    for upto in (None, 40):
-        with pytest.raises(CacheFormatError, match=message):
-            cache_load(path, upto=upto)
-    for upto in (0, 5, 30):
-        assert cache_load(path, upto=upto) == PartitionCache(P_ORACLE[: upto + 1])
-
-
 # damage to the line for p(n), as (new lines for it, message after "line L: ");
 # "truncated" also ends the file there
 LINE_DAMAGE = {
@@ -381,41 +361,16 @@ def test_cache_load_messages(tmp_path, kind, n):
         del lines[n + 1:]
     path = tmp_path / "p.csv"
     path.write_text("".join(lines), newline="")
-    # reading through p(10) reads 11 lines, so n = 10 is on the last line read;
-    # a whole read stops at the same line
-    for upto in (10, None):
-        with pytest.raises(CacheFormatError) as info:
-            cache_load(path, upto=upto)
-        assert str(info.value) == f"{path}: line {n + 1}: {message(n)}"
-    if n:
-        assert cache_load(path, upto=n - 1) == PartitionCache(P_ORACLE[:n])
+    with pytest.raises(CacheFormatError) as info:
+        cache_load(path)
+    assert str(info.value) == f"{path}: line {n + 1}: {message(n)}"
 
 
 def test_cache_load_accepts_spaces_and_crlf(tmp_path):
     path = tmp_path / "p.csv"
     text = "".join(f" {m} ,\t{P_ORACLE[m]} \r\n" for m in range(21))
     path.write_text(text, newline="")
-    assert cache_load(path) == cache_load(path, upto=30) == PartitionCache(P_ORACLE[:21])
-    assert cache_load(path, upto=7) == PartitionCache(P_ORACLE[:8])
-
-
-def test_cache_load_upto_past_end_and_none(tmp_path):
-    path = tmp_path / "p.csv"
-    cache = PartitionCache(P_ORACLE[:21])
-    cache_save(cache, path)
-    assert cache_load(path, upto=20) == cache
-    assert cache_load(path, upto=21) == cache
-    assert cache_load(path, upto=10**6) == cache
-    assert cache_load(path, upto=None) == cache_load(path) == cache
-
-
-def test_cache_load_negative_upto_reads_line_0(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("0,1\nx\n")
-    assert cache_load(path, upto=-1) == PartitionCache()
-    path.write_text("")
-    with pytest.raises(CacheFormatError, match="empty"):
-        cache_load(path, upto=-1)
+    assert cache_load(path) == PartitionCache(P_ORACLE[:21])
 
 
 @given(st.lists(st.integers(1, 10**80), max_size=300))
@@ -454,20 +409,59 @@ def test_cache_lookup_reads_n_before_the_file(tmp_path, n, message):
             call(n)
 
 
-def test_cache_lookup_leaves_bare_cr_and_non_ascii_digits_to_cache_load(tmp_path):
-    # cache_load reads text with universal newlines and Unicode digits; the
-    # byte-wise lookup finds no line for n and so falls back to it
+def test_both_readers_refuse_bare_cr_and_non_ascii_digits(tmp_path):
+    # both read bytes: a file with bare CR line ends is one line with no line
+    # end, and a digit outside ASCII is no digit
     path = tmp_path / "p.csv"
-    for text in ("".join(f"{m},{P_ORACLE[m]}\r" for m in range(21)),
-                 "".join(f"{m},{P_ORACLE[m]}\n" for m in range(21)).replace("7", "\u0667")):
+    for text, message in (("".join(f"{m},{P_ORACLE[m]}\r" for m in range(21)), "line 1: truncated (no line end)"),
+                          ("".join(f"{m},{P_ORACLE[m]}\n" for m in range(21)).replace("7", "\u0667"),
+                           "line 6: malformed integer")):
         path.write_text(text, encoding="utf-8", newline="")
-        assert cache_load(path) == PartitionCache(P_ORACLE[:21])
+        with pytest.raises(CacheFormatError) as info:
+            cache_load(path)
+        assert str(info.value) == f"{path}: {message}"
         assert cache_lookup(path, 20) is None
+
+
+@pytest.mark.parametrize("n", [0, 5, 10], ids=["first", "middle", "last_read"])
+@pytest.mark.parametrize("kind", LINE_DAMAGE)
+def test_damage_on_the_line_for_n_refuses_both_readers(tmp_path, kind, n):
+    # the invariant the CLI relies on: a lookup that finds no p(n) in a file
+    # that holds n sends the call to a whole read, which must raise
+    damage, _ = LINE_DAMAGE[kind]
+    lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
+    lines[n:n + 1] = damage(n)
+    if not lines[n].endswith("\n"):  # a line with no line end is the file's last
+        del lines[n + 1:]
+    path = tmp_path / "p.csv"
+    path.write_text("".join(lines), newline="")
+    assert cache_lookup(path, n) is None
+    with pytest.raises(CacheFormatError, match=f"line {n + 1}: "):
+        cache_load(path)
+
+
+@given(st.sampled_from(sorted(LINE_DAMAGE)), st.integers(2, 80), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_lookup_in_a_damaged_file_answers_right_or_not_at_all(kind, max_n, data):
+    # one damaged line before the last of p(0..max_n): the whole read raises,
+    # and a lookup of any n returns the true p(n) or None
+    m = data.draw(st.integers(0, max_n - 1), label="damaged line")
+    lines = [f"{k},{P_ORACLE[k]}\n" for k in range(max_n + 1)]
+    lines[m:m + 1] = LINE_DAMAGE[kind][0](m)
+    if not lines[m].endswith("\n"):  # a line with no line end is the file's last
+        del lines[m + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        Path(path).write_text("".join(lines), newline="")
+        with pytest.raises(CacheFormatError):
+            cache_load(path)
+        for n in range(max_n + 3):
+            assert cache_lookup(path, n) in (None, P_ORACLE[n]), n
 
 
 def test_cache_lookup_skips_damage_it_does_not_read(tmp_path):
     # the bisection for the last n reads only the upper half of the file, so
-    # damage on line 2 refuses the prefix read but not that hit
+    # damage on line 2 refuses the whole read but not that hit
     path = tmp_path / "p.csv"
     lines = [f"{m},{P_ORACLE[m]}\n" for m in range(21)]
     lines[1] = "1,x\n"
@@ -475,7 +469,7 @@ def test_cache_lookup_skips_damage_it_does_not_read(tmp_path):
     assert cache_lookup(path, 20) == P_ORACLE[20]
     assert cache_lookup(path, 1) is None
     with pytest.raises(CacheFormatError, match="line 2: malformed integer"):
-        cache_load(path, 20)
+        cache_load(path)
 
 
 # the calling writer's two stops: ``half``, with half of its table handed to

@@ -14,7 +14,7 @@ from partitions.asymptotics import leading_term, tail_ratio_bound
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.exact import (
-    PartitionCache, cache_load, cache_lookup, cache_save, p_exact, p_oracle_dp, partition_table_dp,
+    PartitionCache, cache_lookup, cache_save, p_exact, p_oracle_dp, partition_table_dp,
     pentagonal,
 )
 from partitions.farey import contour_triples, farey_sequence, rademacher_path, w_chord
@@ -165,7 +165,6 @@ _INTEGER_ARGUMENTS = {
     "p_exact": (lambda x, cache, path: p_exact(x, cache), 7),
     "partition_table_dp": (lambda x, cache, path: partition_table_dp(x), 7),
     "p_oracle_dp": (lambda x, cache, path: p_oracle_dp(x), 7),
-    "cache_load": (lambda x, cache, path: cache_load(path, upto=x), 5),
     "cache_lookup": (lambda x, cache, path: cache_lookup(path, x), 5),
     "PartitionCache": (lambda x, cache, path: PartitionCache([1, x])[1], 2),
     "PartitionCache[n]": (lambda x, cache, path: PartitionCache([1, 1, 2, 3])[x], 3),
