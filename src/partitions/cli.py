@@ -35,7 +35,8 @@ CACHE_ENV_VAR = "PARTITIONS_CACHE"
 VERIFY_MAX_SAMPLES = 32
 
 
-def _frac_str(x: Fraction) -> str:
+def _frac_str(x) -> str:
+    """Fraction ``x`` as "p/q"; not annotated, as only the commands that use it import fractions."""
     return f"{x.numerator}/{x.denominator}"
 
 

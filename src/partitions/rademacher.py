@@ -25,8 +25,9 @@ N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).  N is at
 least 20: below it the first term of Lehmer's T alone is at least 0.2556,
-and T(1, N) is larger still, so the search for N starts at 20 and steps
-N up by one.
+and T(1, N) is larger still.  So :func:`terms_needed` doubles N from 20
+until T < 1/4 and then halves the last interval, which is valid as T falls
+as N grows: 25 evaluations of T at n = 10^9, where N = 10364.
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
 which runs the same statements in hardware floats (:mod:`math`) or on
@@ -159,23 +160,20 @@ def _alpha_float(n: int) -> float:
 
 
 def _check_n(n: int) -> int:
-    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, once at
+    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, at
     each series entry: ``default_precision``, ``truncation_bound``,
     ``terms_needed``, ``r_k`` and ``p_series`` (the float bounds overflow from
-    n ~ 10^308).  The private functions they share take n as checked."""
+    n ~ 10^308).  ``p_series`` checks n first and then calls the first three,
+    which check it again."""
     n = read_int(n, "n")
     if n > _MAX_N:
         raise ValueError(f"n must be at most {_MAX_N} for the series")
     return n
 
 
-def _default_precision(n: int) -> int:
-    return math.ceil(_alpha_float(n) / _LN2) + 64
-
-
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
-    return _default_precision(_check_n(n))
+    return math.ceil(_alpha_float(_check_n(n)) / _LN2) + 64
 
 
 def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
@@ -292,10 +290,7 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    return _truncation_bound(_check_n(n), read_int(n_terms, "N"))
-
-
-def _truncation_bound(n: int, n_terms: int) -> float:
+    n, n_terms = _check_n(n), read_int(n_terms, "N")
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -308,16 +303,16 @@ def _truncation_bound(n: int, n_terms: int) -> float:
 
 
 def terms_needed(n: int) -> int:
-    """The smallest N with truncation_bound(n, N) < 1/4, by a walk up from
-    N = 20, below which T(n, N) >= 1/4 for every n."""
-    return _terms_needed(_check_n(n))
-
-
-def _terms_needed(n: int) -> int:
-    n_terms = _FEWEST_TERMS
-    while _truncation_bound(n, n_terms) >= 0.25:
-        n_terms += 1
-    return n_terms
+    """The smallest N with truncation_bound(n, N) < 1/4: N doubles from 20
+    until T < 1/4, then the last interval (low, high] is halved."""
+    n = _check_n(n)
+    low, high = _FEWEST_TERMS - 1, _FEWEST_TERMS  # T(n, low) >= 1/4 throughout
+    while truncation_bound(n, high) >= 0.25:
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if truncation_bound(n, mid) < 0.25 else (mid, high)
+    return high
 
 
 def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | None:
@@ -350,10 +345,10 @@ def p_series(n: int) -> SeriesReport:
     B = (1/4 - T)/(2N), in floats when their bound does.
     """
     n = _check_n(n)
-    bits = _default_precision(n)
+    bits = default_precision(n)
     width = bits + GUARD_BITS
-    n_terms = _terms_needed(n)
-    t = _truncation_bound(n, n_terms)
+    n_terms = terms_needed(n)
+    t = truncation_bound(n, n_terms)
     log_budget = math.log((0.25 - t) / (2 * n_terms))
     a, p = _alpha_p(n, width)
     a_float, p_float = float(a), float(p)

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import re
 import types
+import typing
 from decimal import Decimal
 from fractions import Fraction
 
@@ -61,6 +62,23 @@ def test_submodules_are_attributes_after_bare_import():
         "print(partitions.rademacher.p_series(100).rounded, partitions.rademacher.a_k(1, 5))\n"
     )
     assert out.split()[0] == "190569292"
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation string in its module, so
+    # a name imported only inside a function body fails it with NameError
+    checked = 0
+    for info in pkgutil.iter_modules(partitions.__path__):
+        module = importlib.import_module(f"partitions.{info.name}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else ()
+            for fn in (value, *members):
+                if isinstance(fn, types.FunctionType):
+                    typing.get_type_hints(fn)
+                    checked += 1
+    assert checked > 100
 
 
 def test_dedekind_loads_neither_mpmath_nor_precision():

@@ -6,6 +6,7 @@ from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType, SimpleNamespace
 
 import pytest
 from mpmath import iv, mp, mpf
@@ -25,7 +26,8 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS, MAX_BITS
-from partitions.rademacher import _FEWEST_TERMS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term, _term_bits
+from partitions.rademacher import (_FEWEST_TERMS, _FLOAT_BITS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term,
+                                   _term_bits)
 
 CTX = PrecisionContext(128)
 
@@ -138,7 +140,7 @@ def test_p_series_last_term_is_small():
 
 def _at_bits(monkeypatch, bits):
     """Make p_series work at ``bits`` instead of default_precision(n)."""
-    monkeypatch.setattr("partitions.rademacher._default_precision", lambda n: bits)
+    monkeypatch.setattr("partitions.rademacher.default_precision", lambda n: bits)
 
 
 def test_p_series_precision_robustness(monkeypatch):
@@ -207,6 +209,29 @@ def test_terms_needed_is_minimal():
         assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1)
     for n in (1, 10, 1000):
         assert p_series(n).n_terms_used == terms_needed(n)
+    # terms_needed doubles N and halves the last interval: it finds the N of
+    # the walk up from N = 20, which only holds as T falls as N grows
+    rng = random.Random(20261019)
+    for n in (13312, 184570, 10**7, 10**9, *(rng.randrange(1, 10**9 + 1) for _ in range(100))):
+        n_terms = terms_needed(n)
+        assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1), n
+        walk = _FEWEST_TERMS
+        while truncation_bound(n, walk) >= 0.25:
+            walk += 1
+        assert n_terms == walk, n
+
+
+def test_terms_needed_evaluates_few_bounds(monkeypatch):
+    # 25 evaluations of T at the ceiling, where the walk up from N = 20 takes 10,345
+    calls = []
+
+    def counted(n, n_terms):
+        calls.append(n_terms)
+        return truncation_bound(n, n_terms)
+
+    monkeypatch.setattr("partitions.rademacher.truncation_bound", counted)
+    assert terms_needed(10**9) == 10364
+    assert 0 < len(calls) <= 30
 
 
 def test_terms_needed_large_n_does_not_overflow():
@@ -363,6 +388,97 @@ def test_a_k_within_its_model_bound_of_interval_enclosures(bits):
         _, ends = _enclosure(n, k, roots, bits + GUARD_BITS + 64)
         bound = 2 * eps * len(roots) * Fraction(math.sqrt(k / 3) * (6 * math.pi + 6) * _ROUND_UP)
         assert _off_by_at_most(a_k(k, n, ctx), ends, bound), (bits, k, n)
+
+
+class _Running:
+    """A value and a first-order bound on its error, for running error
+    analysis (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 3.3) under the error model of partitions.rademacher: each operation
+    returns its exact result for the computed operands, off by a relative
+    ``eps``; negation is exact, and so is an int operand."""
+
+    def __init__(self, value, error, eps):
+        self.value, self.error, self.eps = mpf(value), mpf(error), eps
+
+    def _rounded(self, value, error):
+        return _Running(value, error + self.eps * abs(value), self.eps)
+
+    def _of(self, x):
+        return x if isinstance(x, _Running) else _Running(x, 0, self.eps)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return self._rounded(self.value + other.value, self.error + other.error)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return self._rounded(self.value * other.value,
+                             abs(self.value) * other.error + abs(other.value) * self.error)
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        value = self.value / other.value
+        return self._rounded(value, (self.error + abs(value) * other.error) / abs(other.value))
+
+    def __neg__(self):
+        return _Running(-self.value, self.error, self.eps)
+
+    def __pos__(self):  # +pi: the constant, rounded once already
+        return self
+
+
+def _running_term(k, roots, a, p, bits, eps):
+    """R_k as a _Running pair, from _term_in_context's own statements in
+    the tier of ``bits`` (None for floats), with ``math`` or ``mp`` in them
+    replaced by pairs: pi, sqrt, cos, exp and fsum round once each, and so
+    does ``float`` or ``mpf``, which rounds a and P to the term's width from
+    their 0.02 and 0.09 eps off at the full width + 8 bits."""
+    rounded = _Running(0, 0, eps)._rounded
+
+    def real(x):
+        return rounded(x.value, x.error) if isinstance(x, _Running) else _Running(x, 0, eps)
+
+    lib = SimpleNamespace(
+        pi=rounded(mp.pi, 0), mpf=real, workprec=lambda bits: nullcontext(),
+        sqrt=lambda i: rounded(mp.sqrt(i), 0),
+        cos=lambda x: rounded(mp.cos(x.value), abs(mp.sin(x.value)) * x.error),
+        exp=lambda x: rounded(mp.exp(x.value), mp.exp(x.value) * x.error),
+        fsum=lambda xs: rounded(mp.fsum(x.value for x in xs), mp.fsum(x.error for x in xs)),
+    )
+    statements = FunctionType(_term_in_context.__code__,
+                              {**globals(), "math": lib, "float": real, "mp": lib, "mpf": real})
+    _, value = statements(k, roots, _Running(a, 0.02 * eps * a, eps), _Running(p, 0.09 * eps * p, eps), bits)
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 7, 30, 100, 1000, 13312, 50000, 184570])
+def test_running_error_within_half_the_model_bound(n):
+    # the first-order error of each term with roots, by running error analysis
+    # under the error model, is at most eps C_k/2 (C_k doubles it to absorb the
+    # second-order terms): in floats where u <= 700, eps = 2^-50, and on libmp
+    # at the bits p_series would give the term there (51 for a float term),
+    # eps = 2^(1 - p). This checks the algebra from the model to C_k, which the
+    # interval enclosures, measuring real errors far below C_k, do not
+    n_terms = terms_needed(n)
+    width = default_precision(n) + GUARD_BITS
+    log_budget = math.log((0.25 - truncation_bound(n, n_terms)) / (2 * n_terms))
+    a, p = _alpha_p(n, width)
+    checked = 0
+    for k in range(1, n_terms + 1):
+        roots = selberg_roots(k, n)
+        if not roots:
+            continue
+        u = float(a) / k
+        log_c = _log_c(k, len(roots), u, float(p))
+        for bits in (_term_bits(u, log_c, log_budget, width) or _FLOAT_BITS, *([None] if u <= 700 else [])):
+            eps = mpf(2) ** (1 - (bits or _FLOAT_BITS))
+            error = _running_term(k, roots, a, p, bits, eps).error
+            assert error <= eps * mp.exp(log_c) / 2, (n, k, bits, error / (eps * mp.exp(log_c) / 2))
+            checked += 1
+    assert checked > n_terms // 2
 
 
 def test_float_term_declines_where_exp_overflows():
