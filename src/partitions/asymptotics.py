@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
+from ._integers import read_int
 from .exact import PartitionCache, p_exact
 from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_real
 
@@ -43,12 +44,13 @@ def leading_term(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
 
-def error_row(n, p_n: int) -> AsymptoticRow:
+def error_row(n: int, p_n: int) -> AsymptoticRow:
     """The row (n, p(n), L(n), eps(n)) for a given exact p(n).
 
     eps is kept at full precision; use :func:`display_eps` for the
-    two-decimal presentation.
+    two-decimal presentation.  n and p(n) are positive integers.
     """
+    n, p_n = read_int(n, "n"), read_int(p_n, "p_n")
     with DEFAULT_CONTEXT.workprec():
         l_value = leading_term(n)
         eps = (mpf(p_n) - l_value) / mpf(p_n) * 100

@@ -292,8 +292,9 @@ def _cmd_verify(args) -> int:
     from .precision import PrecisionContext
 
     ctx = PrecisionContext(args.prec)
-    with ctx.workprec():
-        tolerance = mpf(2) ** (mpf(-args.prec) / 2)
+    # the context works at prec + GUARD_BITS, so a case that keeps the width
+    # it was asked for leaves a residual near 2^(-prec-12)
+    tolerance = mpf(2) ** -ctx.bits
     if args.what == "eta":
         checks = (
             (f"eta {matrix} tau={mp.nstr(tau, 6)}", verify_eta(matrix, tau, ctx).residual)

@@ -6,6 +6,7 @@ from mpmath import mp, mpf
 from partitions.asymptotics import (
     TABLE_NS,
     display_eps,
+    error_row,
     leading_term,
     relative_error_table,
     tail_ratio_bound,
@@ -37,6 +38,15 @@ def test_leading_term_validation():
     for n in (0, math.nan, math.inf, -math.inf, 0.5):
         with pytest.raises(ValueError, match="^n must be a finite real number >= 1$"):
             leading_term(n, CTX)
+
+
+def test_error_row_validation():
+    # p(n) = 0 would divide by zero, and a negative p(n) would give a row
+    for p_n in (0, -5):
+        with pytest.raises(ValueError, match="^p_n must be a positive integer$"):
+            error_row(10, p_n)
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        error_row(0, 1)
 
 
 def test_relative_errors_match_reference():

@@ -382,10 +382,10 @@ GOLDEN = [
     ("bessel 1 --prec 4097", 2, ""),
     # refused before the series' 10^5 terms run
     ("bessel 100000 --prec 4097", 2, ""),
-    ("verify eta --samples 3", 0, "sha256:8dec72dca9a92c551ed9d2a286b0694cb875045659382ab67a7a849cfacfe173"),
-    ("verify ftransform --samples 3 --prec 100", 0, "sha256:1e187af26cb20a1c456fbf8daeb882f045d5268ed7ec466ea0d5edaa8154ea7e"),
-    ("verify eta --samples 5", 0, "sha256:1bfbc292221438d2c240fa5b763631e36750a006c336986493c29a691348f8da"),
-    ("verify ftransform --samples 5", 0, "sha256:18dffa36a2b4b7353703df7da42373bab41e8b5828e6af7cc906a6a83500b042"),
+    ("verify eta --samples 3", 0, "sha256:106458c648986ba39832555d9b82cd5d5e807d07130540b56f528e5ecc561d5e"),
+    ("verify ftransform --samples 3 --prec 100", 0, "sha256:5494a3785246491a1ae432f607268ad4dd9f54cf4013a2ffa10834ec8b1ec512"),
+    ("verify eta --samples 5", 0, "sha256:d667d47a64a4e08cef87fe3f091dae3d11b7a3f1f4373c6079e9b10019e375fa"),
+    ("verify ftransform --samples 5", 0, "sha256:b62f29bf3592df2da4c0dfda9683bb85170523f76f27d1b2afbc3b8af34f39d1"),
     ("verify eta --samples 0", 2, ""),
     ("verify eta --prec 63", 2, ""),
     ("verify eta --prec 4097", 2, ""),

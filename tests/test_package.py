@@ -11,7 +11,7 @@ from mpmath import mpc, mpf
 
 import partitions
 from launch import python
-from partitions.asymptotics import leading_term, tail_ratio_bound
+from partitions.asymptotics import error_row, leading_term, tail_ratio_bound
 from partitions.bessel import bessel_i_3_2_closed, bessel_i_series
 from partitions.dedekind import dedekind_sum, reciprocity_defect, selberg_roots
 from partitions.exact import (
@@ -214,6 +214,8 @@ _INTEGER_ARGUMENTS = {
     "verify_eta[d]": (lambda x, cache, path: verify_eta((2, 1, 1, x), mpc(0, 1)), 1),
     "verify_f_transform[h]": (lambda x, cache, path: verify_f_transform(x, 7, 1), 3),
     "verify_f_transform[k]": (lambda x, cache, path: verify_f_transform(1, x, 1), 7),
+    "error_row[n]": (lambda x, cache, path: error_row(x, 42), 10),
+    "error_row[p_n]": (lambda x, cache, path: error_row(10, x), 42),
 }
 
 
