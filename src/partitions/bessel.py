@@ -9,13 +9,9 @@ so there is no cancellation to worry about; the sum stops when a term is
 below 2^-(bits+8) of the running total.  That takes about x terms, so the
 cost grows linearly in x (0.1 s at x = 10^4 and 0.8 s at 10^5 on a 2-vCPU
 Xeon VM, at 128 bits), and the series refuses x > 10^5, so that every
-accepted call ends within seconds at any context width.  For nu = 3/2
-the Gamma factors are half-integral, with the closed form
-
-    Gamma(j + 5/2) = sqrt(pi) (2j+3)!! / 2^(j+2),
-
-which the term recurrence realizes with a single sqrt(pi) at context
-precision (Gamma(5/2) = 3 sqrt(pi)/4, then multiply by nu+j each step).
+accepted call ends within seconds at any context width.  Gamma is
+evaluated once, for the first term (x/2)^nu / Gamma(nu+1); each later
+term is the one before times (x/2)^2 / (j (nu+j)).
 
 ``bessel_i_3_2_closed`` evaluates the closed form at nu = 3/2,
 
@@ -51,8 +47,6 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     Parameters
     ----------
     nu : real order (int, float, Fraction, Decimal, mpf or decimal string).
-        nu = 3/2 seeds the terms with 3 sqrt(pi)/4, every other order with
-        Gamma(nu+1).
     x : real argument in [0, 10^5], of the same types.
     ctx : target precision; nu and x are read once, to nearest, at its width.
     """
@@ -69,12 +63,7 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
                 return mp.inf  # (x/2)^nu -> +inf as x -> 0+
             return mpf(1) if nu == 0 else mpf(0)
         half = x / 2
-        if nu == 1.5:
-            # Gamma(5/2) to about 1 ulp, not mp.gamma's 1/2: the pinned results use it
-            seed = 3 * mp.sqrt(mp.pi) / 4
-        else:
-            seed = mp.gamma(nu + 1)
-        term = half**nu / seed
+        term = half**nu / mp.gamma(nu + 1)
         total = term
         thresh = mpf(2) ** -(ctx.bits + _STOP_BITS)
         square = half * half  # once, not once per term: the same rounded value

@@ -30,8 +30,8 @@ from .exact import PartitionCache, cache_load, cache_lookup, cache_save, p_exact
 # handlers that use them, so `partitions exact N` never pays for them.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
-# verify refuses more samples, for time: at 32 samples and 4096 bits
-# eta took 19 s and ftransform 16 s on one AMD EPYC vCPU
+# verify refuses more samples, for time: at 32 samples and 4096 bits eta
+# took 47 to 49 s and ftransform 38 to 42 s of CPU on one Intel Xeon vCPU
 VERIFY_MAX_SAMPLES = 32
 
 
@@ -208,11 +208,9 @@ def _cmd_table(args) -> int:
         ns = list(TABLE_NS)
     else:
         try:
-            ns = [int(part) for part in args.table_list.split(",") if part]
+            ns = [int(part) for part in args.table_list.split(",")]
         except ValueError:
             raise ValueError("--list expects comma-separated integers") from None
-        if not ns:
-            raise ValueError("--list expects at least one integer")
     with _p_values(args.cache, ns) as values:
         rows = [error_row(n, p_n) for n, p_n in zip(ns, values)]
     print(error_table_csv(rows))

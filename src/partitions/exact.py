@@ -111,8 +111,6 @@ class PartitionCache:
         n = _below_ceiling(index(n))
         vals = self._values
         m = len(vals)
-        if n < m:
-            return
         append = vals.append
         offsets = _signed_pentagonal()
         w, odd = next(offsets)

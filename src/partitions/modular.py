@@ -7,12 +7,14 @@ partition generating function, related by eta(tau) = exp(pi i tau/12) /
 F(q).  Both products are Euler's function phi(q) = prod_{m>=1} (1 - q^m),
 which ``mp.qp(q)`` sums by Euler's pentagonal theorem (the identity behind
 the recurrence in :mod:`partitions.exact`) until a term falls below the
-working precision.  Its cost grows as tau nears the real axis: at 128 bits
-on a 2-vCPU Xeon VM it took 0.12 s at Im tau = 10^-4 and 1.8 s at 10^-5,
-and at 10^-6 it raises mpmath's ``NoConvergence`` after 50 terms per
-working bit, some 4 s later.  So ``eta`` refuses Im tau < 10^-5 and
-``generating_function`` the same |q|, |x| > exp(-2 pi 10^-5), with a
-``ValueError`` before any summing.
+working precision.  Its cost grows as tau nears a cusp on the real axis,
+where the sum cancels down to |eta| ~ e^(-pi/(12y)) at tau = iy.  At Im tau
+= 10^-4 over the cusp 0, the slowest, eta took 1.6 to 2.7 s at 64 to 256
+bits and 6.6 s at 4096 bits (CPU time on one Intel Xeon vCPU); at 3 10^-5 i
+and 128 bits it ran 42 s and then raised mpmath's ``NoConvergence``,
+which qp raises after 50 terms per working bit.  So ``eta`` refuses Im tau
+< 10^-4 and ``generating_function`` the same |q|, |x| > exp(-2 pi 10^-4),
+with a ``ValueError`` before any summing.
 
 ``verify_eta`` evaluates both sides of the modular transformation
 
@@ -48,7 +50,7 @@ from .dedekind import dedekind_sum
 from .precision import DEFAULT_CONTEXT, PrecisionContext, _read_number
 
 # least Im tau that eta accepts (see the module docstring)
-_IM_TAU_FLOOR = 1e-5
+_IM_TAU_FLOOR = 1e-4
 
 
 def exp_i_pi_rational(t, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
@@ -60,7 +62,12 @@ def exp_i_pi_rational(t, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """F(x) = prod_{m>=1} 1/(1 - x^m) for finite |x| <= exp(-2 pi 10^-5) (real or complex)."""
+    """F(x) = prod_{m>=1} 1/(1 - x^m) for finite |x| <= exp(-2 pi 10^-4) (real or complex).
+
+    At x = exp(-2 pi 10^-4), over the cusp 0, F took 1.4 to 2.9 s at 64 to
+    256 bits and 6.8 s at 4096 bits (one Intel Xeon vCPU); a larger |x|
+    raises ``ValueError`` before any summing (module docstring).
+    """
     with ctx.workprec():
         x = _read_number(x)
         if not mp.isfinite(x):  # nan passes every comparison below
@@ -74,7 +81,7 @@ def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     """Dedekind eta, exp(pi i tau/12) times Euler's function of exp(2 pi i tau),
-    for finite tau with Im tau >= 10^-5."""
+    for finite tau with Im tau >= 10^-4."""
     with ctx.workprec():
         tau = mpc(_read_number(tau))
         if not mp.isfinite(tau):  # nan passes every comparison below

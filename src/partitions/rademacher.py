@@ -23,11 +23,10 @@ For n = 1, |A_k| <= k and u cosh u - sinh u <= (u^3/3) cosh u give
 |R_k(1)| <= pi^2/(9 sqrt 3) k^(-3/2) cosh(a/k), so T = 2 pi^2/(9 sqrt 3)
 N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
-and is +inf where sinh would overflow (it is then far above 1/4).  N is at
-least 20: below it the first term of Lehmer's T alone is at least 0.2556,
-and T(1, N) is larger still.  So :func:`terms_needed` doubles N from 20
-until T < 1/4 and then halves the last interval, which is valid as T falls
-as N grows: 25 evaluations of T at n = 10^9, where N = 10364.
+and is +inf where sinh would overflow (it is then far above 1/4).
+:func:`terms_needed` doubles N from 1 until T < 1/4 and then halves the
+last interval, which is valid as T falls as N grows: 28 evaluations of T
+at n = 10^9, where N = 10364.
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
 which runs the same statements in hardware floats (:mod:`math`) or on
@@ -121,8 +120,6 @@ _FLOAT_BITS = 51
 _MAX_N = 10**9
 # the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
 _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
-# where terms_needed starts: T(n, N) >= 1/4 for every N below it (see above)
-_FEWEST_TERMS = 20
 
 
 class SeriesTerm(NamedTuple):
@@ -303,10 +300,10 @@ def truncation_bound(n: int, n_terms: int) -> float:
 
 
 def terms_needed(n: int) -> int:
-    """The smallest N with truncation_bound(n, N) < 1/4: N doubles from 20
+    """The smallest N with truncation_bound(n, N) < 1/4: N doubles from 1
     until T < 1/4, then the last interval (low, high] is halved."""
     n = _check_n(n)
-    low, high = _FEWEST_TERMS - 1, _FEWEST_TERMS  # T(n, low) >= 1/4 throughout
+    low, high = 0, 1  # T(n, low) >= 1/4 throughout, reading T(n, 0) as +inf
     while truncation_bound(n, high) >= 0.25:
         low, high = high, 2 * high
     while high - low > 1:

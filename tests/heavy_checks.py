@@ -79,13 +79,13 @@ def test_series_matches_reference_residue(n):
     assert_reference(json.loads(answer("series", str(n)))["rounded"], n)
 
 
-def test_terms_needed_matches_walk_up_from_fewest_terms():
-    # terms_needed doubles N from 20 and halves the last interval, which holds
-    # as T falls as N grows: it must give the N of the walk up from N = 20
+def test_terms_needed_matches_walk_up_from_one():
+    # terms_needed doubles N from 1 and halves the last interval, which holds
+    # as T falls as N grows: it must give the N of the walk up from N = 1
     run_script("""
-        from partitions.rademacher import _FEWEST_TERMS, terms_needed, truncation_bound
+        from partitions.rademacher import terms_needed, truncation_bound
         def walk(n):
-            n_terms = _FEWEST_TERMS
+            n_terms = 1
             while truncation_bound(n, n_terms) >= 0.25:
                 n_terms += 1
             return n_terms
@@ -127,6 +127,25 @@ def test_verify_at_its_ceilings(law):
     # tier-1 runs 2 samples at 4096 bits; this is verify's 32-sample ceiling
     out = answer("verify", law, "--samples", "32", "--prec", "4096")
     assert len(out.splitlines()) == 33 and out.endswith("all ok\n"), out[-200:]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 4096])
+def test_eta_at_the_floor_by_the_cusp_zero(bits):
+    # eta's slowest accepted input: at Im tau = 10^-4 over the cusp 0 the
+    # pentagonal sum cancels down to |eta(iy)| = e^(-pi/(12y))/sqrt(y), by
+    # eta(-1/tau) = sqrt(-i tau) eta(tau) and a product at i/y that is 1 to far past the width
+    run_script("""
+        import sys
+        from mpmath import mp, mpc, mpf
+        from partitions.modular import eta
+        from partitions.precision import PrecisionContext
+        ctx = PrecisionContext(int(sys.argv[1]))
+        value = eta(mpc(0, 1e-4), ctx)
+        with ctx.workprec():
+            y = mpf(1e-4)
+            error = abs(value / (mp.exp(-mp.pi / (12 * y)) / mp.sqrt(y)) - 1)
+            assert error < mpf(2) ** -(ctx.bits - 8), mp.nstr(error, 5)
+    """, str(bits), timeout=60)
 
 
 def test_cut_short_cache_serves_the_head_and_refuses_past_it(tmp_path):

@@ -31,6 +31,12 @@ def test_unknown_flag_rejected(capsys):
     assert "bogus" in err
 
 
+def test_table_list_refuses_every_empty_item(capsys):
+    for items in ("", ",", "5,,7", "5,", ",5"):
+        code, out, err = run(["table", "--list", items], capsys)
+        assert (code, out, err) == (2, "", "error: --list expects comma-separated integers\n"), items
+
+
 def test_series_prints_past_the_int_str_limit(capsys):
     # p(17782794) has 4690 digits, past Python's default limit of 4300 on
     # int-to-str conversion; the CLI lifts the limit only while it formats
@@ -342,6 +348,8 @@ GOLDEN = [
     ("table --list 0", 2, ""),
     ("table --list 10,x", 2, ""),
     ("table --list ,", 2, ""),
+    ("table --list 5,,7", 2, ""),
+    ("table --list 5,", 2, ""),
     ("table --list 10,100001", 2, ""),
     ("farey 5", 0, "sha256:ce66ff621bd90642197142ee34d0161550970f3ff79a79e7ae3df8919b62e00a"),
     ("farey 0", 2, ""),
@@ -368,7 +376,7 @@ GOLDEN = [
     ("ak 25 24 --prec 131073", 2, ""),
     ("ak 25 24 --prec 4097", 2, ""),
     ("bessel 1", 0, "sha256:aec0e7f69c6e3eae1c6ee38dc36751cdbe05b923399ee1cae577c59c3694a84d"),
-    ("bessel 2.5 --prec 100", 0, "sha256:b0bf8d2b0d5fa50d90e7c147f323450421d1ce098ee0ff9db9a84aee1393587a"),
+    ("bessel 2.5 --prec 100", 0, "sha256:a66f9c87243c897c5ec1e21f781d0469f8da6f1b04981ad997248bdd525e6e6f"),
     ("bessel 0", 2, ""),
     ("bessel -1", 2, ""),
     ("bessel bogus", 2, ""),

@@ -131,13 +131,30 @@ def test_eta_known_value_at_i():
 
 
 def test_near_real_axis_fails_fast():
-    # Im tau = 10^-6 would run qp for seconds before NoConvergence; refused at once
+    # below Im tau = 10^-4 qp can run for seconds and then raise NoConvergence
+    # (42 s at 3e-5 i and 128 bits); refused at once
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="Im tau"):
-        eta(mpc(0.3, 1e-6), CTX)
+    for tau in (mpc(0.3, 1e-6), mpc(0, 3e-5), mpc(0.5, 3e-5)):
+        with pytest.raises(ValueError, match="Im tau"):
+            eta(tau, CTX)
     with pytest.raises(ValueError, match=r"\|x\|"):
         generating_function(1 - mpf(10) ** -7, CTX)
     assert time.perf_counter() - start < 0.5
+
+
+def test_floor_is_summed_at_the_cusp_one_half():
+    # at tau = 1/2 + iy the pentagonal sum cancels down to |eta| = e^(-pi/(48y))/sqrt(2y),
+    # by the transformation with (a, b, c, d) = (1, -1, 2, -1), which maps tau to
+    # 1/2 + i/(4y), where the product is 1 to far past the width; F(q) = e^(pi i tau/12)/eta(tau)
+    ctx = PrecisionContext(64)
+    with ctx.workprec():
+        y = mpf(1e-4)
+        x = -mp.exp(-2 * mp.pi * 1e-4)  # as generating_function forms its floor: accepted
+        eta_modulus = mp.exp(-mp.pi / (48 * y)) / mp.sqrt(2 * y)
+        f_value = mp.exp(-mp.pi * y / 12) / eta_modulus
+        tolerance = mpf(2) ** -(ctx.bits - 8)
+        assert abs(abs(eta(mpc(0.5, 1e-4), ctx)) / eta_modulus - 1) < tolerance
+        assert abs(generating_function(x, ctx) / f_value - 1) < tolerance
 
 
 def test_eta_rejects_lower_half_plane():

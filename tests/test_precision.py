@@ -99,7 +99,7 @@ def test_precision_is_the_one_writer_of_process_wide_state():
 @pytest.mark.parametrize("function, args, stop_at", [
     (leading_term, (5000,), "exp"),
     (eta, (mpc(0.3, 0.8),), "qp"),
-    (bessel_i_series, (Fraction(3, 2), 20), "sqrt"),
+    (bessel_i_series, (Fraction(3, 2), 20), "gamma"),
 ], ids=["leading_term", "eta", "bessel_i_series"])
 def test_two_threads_each_compute_at_their_own_width(function, args, stop_at, monkeypatch):
     # Thread a stops inside its block at 4096 bits, where its body calls

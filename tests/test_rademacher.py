@@ -26,8 +26,7 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS, MAX_BITS
-from partitions.rademacher import (_FEWEST_TERMS, _FLOAT_BITS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term,
-                                   _term_bits)
+from partitions.rademacher import _FLOAT_BITS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term, _term_bits
 
 CTX = PrecisionContext(128)
 
@@ -210,19 +209,19 @@ def test_terms_needed_is_minimal():
     for n in (1, 10, 1000):
         assert p_series(n).n_terms_used == terms_needed(n)
     # terms_needed doubles N and halves the last interval: it finds the N of
-    # the walk up from N = 20, which only holds as T falls as N grows
+    # the walk up from N = 1, which only holds as T falls as N grows
     rng = random.Random(20261019)
     for n in (13312, 184570, 10**7, 10**9, *(rng.randrange(1, 10**9 + 1) for _ in range(100))):
         n_terms = terms_needed(n)
         assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1), n
-        walk = _FEWEST_TERMS
+        walk = 1
         while truncation_bound(n, walk) >= 0.25:
             walk += 1
         assert n_terms == walk, n
 
 
 def test_terms_needed_evaluates_few_bounds(monkeypatch):
-    # 25 evaluations of T at the ceiling, where the walk up from N = 20 takes 10,345
+    # 28 evaluations of T at the ceiling, where the walk up from N = 1 takes 10,364
     calls = []
 
     def counted(n, n_terms):
@@ -241,12 +240,6 @@ def test_terms_needed_large_n_does_not_overflow():
         n_terms = terms_needed(n)
         assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1)
     assert terms_needed(10**5) < terms_needed(10**6) < 1000
-
-
-def test_fewer_than_twenty_terms_never_suffice():
-    # terms_needed starts its search at N = 20: below it T >= 1/4 for every n
-    for n in (1, 2, 3, 100, 10**4, 10**6, 10**9):
-        assert all(truncation_bound(n, n_terms) >= 0.25 for n_terms in range(1, _FEWEST_TERMS)), n
 
 
 def test_truncation_bound_validation():
