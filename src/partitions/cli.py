@@ -31,7 +31,7 @@ from .exact import PartitionCache, cache_load, cache_lookup, cache_save, p_exact
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
 # verify refuses more samples, for time: at 32 samples and 4096 bits eta
-# took 47 to 49 s and ftransform 38 to 42 s of CPU on one Intel Xeon vCPU
+# took 27 to 30 s and ftransform 22 to 24 s of CPU on one pinned Intel Xeon vCPU
 VERIFY_MAX_SAMPLES = 32
 
 

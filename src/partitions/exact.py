@@ -95,8 +95,8 @@ class PartitionCache:
         return f"PartitionCache(max_n={self.max_n})"
 
     def extend_to(self, n: int) -> None:
-        """Run the pentagonal recurrence until p(n) is in the table; n above
-        ``_MAX_N`` = 10^5 is refused, and a refused n leaves the table unchanged.
+        """Run the pentagonal recurrence until p(n) is in the table; n < 0 or
+        n > ``_MAX_N`` = 10^5 is refused, and a refused n leaves the table unchanged.
 
         The offsets w <= m change only when m reaches the next generalised
         pentagonal number.  Each offset gets one iterator over the live
@@ -108,7 +108,7 @@ class PartitionCache:
         where the next run reads first.  Each p(m) is two C-level sums, one
         per sign, with no Python bytecode per term and no copy of the table.
         """
-        n = _below_ceiling(index(n))
+        n = _below_ceiling(read_int(n, "n", low=0))
         vals = self._values
         m = len(vals)
         append = vals.append

@@ -65,13 +65,14 @@ bounds |computed R_k - R_k|; the factor 2 absorbs the second-order terms.
 C_k is evaluated in log space, as e^u overflows a float for the head terms
 from n ~ 7.7e4, and E_k is rounded up and raised to at least e^-700.
 
-The sum.  Every term enters libmp's mpf_sum (what mp.fsum runs) exactly.
-An mpf term has at most the full width p bits.  The float terms enter as
-one mpf, their exact sum: each is m 2^e with a 53-bit integer m, and the m
-are added as one integer at the smallest e, so nothing is rounded.  mpf_sum
-forms the sum S exactly (it drops only a term over 2p bits below its last
-bit) and rounds once, by less than 2 eps |S| with eps = 2^(1-p).  So E =
-the sum of the term bounds + 2 eps |S|, added by math.fsum and rounded up.
+The sum.  Each nonzero term is m 2^e with an integer m: a float by frexp,
+with a 53-bit m, an mpf from its mantissa and exponent.  The m are added as
+one integer at the smallest e, so the sum S is exact, and S is rounded once
+to the full width p bits, to nearest: by at most eps |S|/2, eps = 2^(1-p).
+E = the sum of the term bounds + 2 eps |S|, added by math.fsum and rounded
+up: it still counts the rounding as 2 eps |S|, four times its bound, so E
+and every printed digit stay the same.  selberg_sum's libmp tier keeps
+libmp's mpf_sum, for its cosines at one width.
 
 Routing.  Term k runs at the fewest bits p_k = ceil(2 + log2(C_k/B)) with
 eps C_k <= B/2, B = (1/4 - T)/(2N) being its share of the slack and the
@@ -286,8 +287,8 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 
 def truncation_bound(n: int, n_terms: int) -> float:
-    """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up; +inf where sinh overflows."""
-    n, n_terms = _check_n(n), read_int(n_terms, "N")
+    """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up, for N <= ``_MAX_K``; +inf where sinh overflows."""
+    n, n_terms = _check_n(n), read_int(n_terms, "N", high=_MAX_K)
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -322,17 +323,6 @@ def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | N
     return min(width, math.ceil(max(bits, _FLOAT_BITS)))
 
 
-def _exact_sum(values: list[float]) -> mpf:
-    """The sum of ``values``, exactly, as one mpf: each float is m 2^e with
-    a 53-bit integer m, and the m are added as one integer at the smallest e."""
-    parts = [math.frexp(x) for x in values if x]
-    if not parts:
-        return mpf(0)
-    low = min(e for _, e in parts)
-    man = sum(int(m * 2.0**53) << (e - low) for m, e in parts)
-    return mp.make_mpf(from_man_exp(man, low - 53))  # not mpf(...), which rounds
-
-
 def p_series(n: int) -> SeriesReport:
     """Sum the series for p(n) once and certify the rounded integer.
 
@@ -362,12 +352,19 @@ def p_series(n: int) -> SeriesReport:
             terms.append(_term(k, roots, a_float, p_float, None, log_c))
         else:
             terms.append(_term(k, roots, a, p, term_bits, log_c))
-    floats = [term.r_k for term in terms if type(term.r_k) is float]
-    wide = [term.r_k._mpf_ for term in terms if type(term.r_k) is not float]
-    total = mpf_sum([*wide, _exact_sum(floats)._mpf_], width, _RND)
+    parts = []  # each nonzero term as (m, e), worth m 2^e exactly
+    for x in (term.r_k for term in reversed(terms) if term.r_k):  # tail first: most additions stay narrow
+        if type(x) is float:
+            m, e = math.frexp(x)
+            parts.append((int(m * 2.0**53), e - 53))
+        else:
+            sign, m, e, _ = x._mpf_
+            parts.append((-m if sign else m, e))
+    low = min(e for _, e in parts)  # the k = 1 term is never zero
+    total = from_man_exp(sum(m << (e - low) for m, e in parts), low, width, _RND)
     rounded = to_int(mpf_nint(total, width, _RND))
     gap = mp.make_mpf(mpf_abs(mpf_sub(total, from_int(rounded), width, _RND), width, _RND))
-    # the one rounding of mpf_sum, 2 eps |S| with eps = 2^(1-p)
+    # the one rounding of the exact sum, counted as 2 eps |S| with eps = 2^(1-p)
     sum_rounding = to_float(mpf_shift(mpf_abs(total, width, _RND), 2 - width), rnd=_RND)
     total = mp.make_mpf(total)
     e = (math.fsum(term.bound for term in terms) + sum_rounding) * _ROUND_UP

@@ -79,6 +79,30 @@ def test_series_matches_reference_residue(n):
     assert_reference(json.loads(answer("series", str(n)))["rounded"], n)
 
 
+@pytest.mark.parametrize("n", [10**8, 10**9])
+def test_widest_sums_are_exact_sums_rounded_once(n):
+    # tier-1 checks this up to 10^7; at 10^9 the one integer that p_series
+    # adds the terms in is about 117,000 bits wide
+    run_script("""
+        import sys
+        from fractions import Fraction
+        from mpmath.libmp import from_rational, round_nearest
+        from partitions.precision import GUARD_BITS
+        from partitions.rademacher import p_series
+
+        def exact(x):
+            if type(x) is float:
+                return Fraction(x)
+            sign, man, exp, _ = x._mpf_
+            return (-1) ** sign * man * Fraction(2) ** exp
+
+        report = p_series(int(sys.argv[1]))
+        total = sum(exact(term.r_k) for term in report.terms)
+        width = report.prec + GUARD_BITS
+        assert report.partial_sum._mpf_ == from_rational(total.numerator, total.denominator, width, round_nearest)
+    """, str(n), timeout=60)
+
+
 def test_terms_needed_matches_walk_up_from_one():
     # terms_needed doubles N from 1 and halves the last interval, which holds
     # as T falls as N grows: it must give the N of the walk up from N = 1

@@ -122,6 +122,10 @@ def test_p200():
 def test_negative_rejected():
     with pytest.raises(ValueError):
         p_exact(-1)
+    cache = PartitionCache([1, 1, 2])
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        cache.extend_to(-1)
+    assert cache == PartitionCache([1, 1, 2])
 
 
 def test_ceiling_refused_before_any_work():

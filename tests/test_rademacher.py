@@ -10,6 +10,7 @@ from types import FunctionType, SimpleNamespace
 
 import pytest
 from mpmath import iv, mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from partitions.dedekind import selberg_roots
 from partitions.exact import PartitionCache, p_exact
@@ -26,7 +27,7 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS, MAX_BITS
-from partitions.rademacher import _FLOAT_BITS, _ROUND_UP, _alpha_p, _exact_sum, _log_c, _term, _term_bits
+from partitions.rademacher import _FLOAT_BITS, _ROUND_UP, _alpha_p, _log_c, _term, _term_bits
 
 CTX = PrecisionContext(128)
 
@@ -247,6 +248,12 @@ def test_truncation_bound_validation():
         truncation_bound(0, 1)
     with pytest.raises(ValueError):
         truncation_bound(1, 0)
+    # N has the ceiling on k, rather than an OverflowError in float arithmetic
+    for n in (1, 100):
+        for n_terms in (10**7 + 1, 10**400):
+            with pytest.raises(ValueError, match="^N must be at most 10000000$"):
+                truncation_bound(n, n_terms)
+        assert type(truncation_bound(n, 10**7)) is float
 
 
 def test_float_error_bound_covers_double_precision_rerun():
@@ -530,14 +537,24 @@ def test_zero_weight_terms_are_the_float_evaluators():
     assert (term.k, type(term.r_k), term.r_k) == (7, mpf, 0)
 
 
-def test_float_terms_are_summed_exactly():
-    # the float terms enter mp.fsum as one mpf, unrounded at any working precision
-    values = [1e300, -3.0, 2.0**-1074, 1 / 3, -0.0, 0.0, -1e-300, 5e-324]
-    with mp.workprec(53):
-        total = _exact_sum(values)
-    sign, man, exp, _ = total._mpf_
-    assert (-1) ** sign * man * Fraction(2) ** exp == sum(map(Fraction, values))
-    assert _exact_sum([]) == _exact_sum([0.0, -0.0]) == 0
+def _exact(x):
+    """A float or mpf as the Fraction it is worth."""
+    if type(x) is float:
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("n", [1, 7, 24, 1000, 13312, 184570, 999_999, 10**7])
+def test_partial_sum_is_the_exact_sum_rounded_once(n):
+    # float tails, libmp head terms, zero terms and head terms with u > 700
+    # (n = 10^7) are summed exactly and rounded once, to nearest, at the full
+    # width; most of these sums fit the width, but at n = 24 the nearest is
+    # above the exact sum and at 999,999 below it, so no directed rounding passes
+    report = p_series(n)
+    total = sum(_exact(term.r_k) for term in report.terms)
+    width = report.prec + GUARD_BITS
+    assert report.partial_sum._mpf_ == from_rational(total.numerator, total.denominator, width, round_nearest)
 
 
 # The mpmath-context evaluator that the libmp tier replaced, kept as its
