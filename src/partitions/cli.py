@@ -261,15 +261,13 @@ def _cmd_ak(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
-    from fractions import Fraction
-
     from mpmath import mp
 
     from .bessel import bessel_i_3_2_closed, bessel_i_series
     from .precision import PrecisionContext
 
     ctx = PrecisionContext(args.prec)
-    series = bessel_i_series(Fraction(3, 2), args.x, ctx)
+    series = bessel_i_series(1.5, args.x, ctx)
     closed = bessel_i_3_2_closed(args.x, ctx)
     with ctx.workprec():
         diff = abs(series - closed)

@@ -10,7 +10,8 @@ program over the generating product serves as an independent, slower
 cross-check at oracle scale.
 
 Values are plain Python ints (arbitrary precision); caches are contiguous
-tables p(0..max_n) with a line-per-value text serialization.
+tables p(0..max_n) saved one ``n,p(n)`` line per value, and one check,
+``_read_line``, decides a line for both readers of a cache file.
 """
 
 from __future__ import annotations
@@ -191,36 +192,35 @@ def cache_save(cache: PartitionCache, path) -> None:
         raise
 
 
-def cache_load(path) -> PartitionCache:
-    """Read a whole cache file, validating order, contiguity and integer syntax.
+def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
+    """(n, p(n)) from the cache line ``raw``, or the first rule it breaks: a line
+    end, the 'n,p(n)' shape and integer syntax, n = ``n`` if given, p(n) >= 1."""
+    if raw[-1] != 10:  # 10 is the byte b"\n"
+        return "truncated (no line end)"
+    # a second comma ends up in ``right`` and a missing one leaves it empty: int() refuses both
+    left, _, right = raw.partition(b",")
+    try:
+        key, value = int(left), int(right)
+    except ValueError:
+        return "expected 'n,p(n)'" if raw.count(b",") != 1 else "malformed integer"
+    if n is not None and key != n:
+        order = "gap in n" if key > n else "n out of order"
+        return f"{order} (expected {n}, found {key})"
+    if value < 1:
+        return "p(n) must be positive"
+    return key, value
 
-    Each line is parsed once, as bytes.  A line that fails the combined test
-    is named for the first rule it breaks, in order: a line end, the
-    'n,p(n)' shape and integer syntax, then n, then p(n) >= 1.
-    """
+
+def cache_load(path) -> PartitionCache:
+    """Read a whole cache file: line i must pass :func:`_read_line` with
+    n = i - 1, and the error names the first rule it breaks."""
     values = []
-    append = values.append
     with open(path, "rb") as fh:
-        for expected, raw in enumerate(fh):
-            # a second comma ends up in ``right`` and a missing one leaves it
-            # empty, so int() refuses both
-            left, _, right = raw.partition(b",")
-            try:
-                n, v = int(left), int(right)
-            except ValueError:
-                n = None
-            if n != expected or v < 1 or raw[-1] != 10:  # 10 is the byte b"\n"
-                if raw[-1] != 10:
-                    problem = "truncated (no line end)"
-                elif n is None:
-                    problem = "expected 'n,p(n)'" if raw.count(b",") != 1 else "malformed integer"
-                elif n != expected:
-                    order = "gap in n" if n > expected else "n out of order"
-                    problem = f"{order} (expected {expected}, found {n})"
-                else:
-                    problem = "p(n) must be positive"
-                raise CacheFormatError(f"{path}: line {expected + 1}: {problem}")
-            append(v)
+        for i, raw in enumerate(fh, 1):
+            line = _read_line(raw, i - 1)
+            if isinstance(line, str):
+                raise CacheFormatError(f"{path}: line {i}: {line}")
+            values.append(line[1])
     if not values:
         raise CacheFormatError(f"{path}: empty cache file")
     if values[0] != 1:
@@ -236,8 +236,8 @@ def cache_lookup(path, n: int) -> int | None:
     n is read by p_exact's rules before the file is opened.  The lines are
     sorted by n, so about log2(file size) lines are read: the probes and
     the line for n; damage on a line it does not read goes unseen.  Each
-    line read must hold 'n,p(n)' with p(n) >= 1 and a line end, as in
-    :func:`cache_load`, and the value comes from the line for n (p(0) = 1).
+    line read must pass :func:`_read_line`, as in :func:`cache_load` but for
+    the line number, and the value comes from the line for n (p(0) = 1).
     So None means that n lies past the end of a file :func:`cache_load`
     accepts, or that :func:`cache_load` refuses the file and names the fault.
     """
@@ -254,13 +254,10 @@ def cache_lookup(path, n: int) -> int | None:
             if not raw:  # mid lies on the last line, so no probe has found a line yet
                 hi = mid
                 continue
-            left, _, right = raw.partition(b",")
-            try:
-                key, value = int(left), int(right)
-            except ValueError:
+            line = _read_line(raw)
+            if isinstance(line, str):
                 return None
-            if value < 1 or raw[-1] != 10:
-                return None
+            key, value = line
             if key < n:
                 lo = mid + 1
             else:

@@ -189,9 +189,10 @@ def _alpha_p(n: int, width: int) -> tuple[mpf, mpf]:
     bits = width + 8
     m = mpf_sub(from_int(n, bits, _RND), mpf_div(fone, from_int(24), bits, _RND), bits, _RND)  # n - 1/24
     root = mpf_sqrt(mpf_div(mpf_mul_int(m, 2, bits, _RND), from_int(3), bits, _RND), bits, _RND)
-    a = mpf_mul(mpf_pi(bits, _RND), root, bits, _RND)
+    pi = mpf_pi(bits, _RND)
+    a = mpf_mul(pi, root, bits, _RND)
     three_root3 = mpf_mul_int(mpf_sqrt(from_int(3), bits, _RND), 3, bits, _RND)
-    p = mpf_div(mpf_pow_int(mpf_pi(bits, _RND), 2, bits, _RND),
+    p = mpf_div(mpf_pow_int(pi, 2, bits, _RND),
                 mpf_mul(three_root3, mpf_pow_int(a, 3, bits, _RND), bits, _RND), bits, _RND)
     return mp.make_mpf(a), mp.make_mpf(p)
 

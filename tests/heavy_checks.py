@@ -103,6 +103,14 @@ def test_widest_sums_are_exact_sums_rounded_once(n):
     """, str(n), timeout=60)
 
 
+def test_series_digest_is_pinned():
+    # tier-1 pins the reports' bits at n <= 600 and a few n past it; this pins
+    # the partial sum, rounded value, gap and E at the 3302 n of series_digest.py
+    done = launch.python(str(Path(__file__).with_name("series_digest.py")), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "3302 25fa5870602a97861f723c83d330bf61c48c77d1d470e7a5244f4e0ec70eb11e\n"
+
+
 def test_terms_needed_matches_walk_up_from_one():
     # terms_needed doubles N from 1 and halves the last interval, which holds
     # as T falls as N grows: it must give the N of the walk up from N = 1

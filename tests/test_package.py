@@ -144,6 +144,19 @@ def test_plain_exact_cli_imports_no_json_or_fractions(tmp_path):
     assert out == '5604\n5604\n627\n{"n": 30, "p": "5604"}\n'
 
 
+def test_bessel_cli_imports_neither_fractions_nor_decimal():
+    # nu = 3/2 is passed as the float 1.5, which holds it exactly; bessel,
+    # precision and mpmath import neither module
+    script = (
+        "import sys\n"
+        "import partitions.cli\n"
+        "assert partitions.cli.main(['bessel', '2']) == 0\n"
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])\n"
+    )
+    out = _run(script)
+    assert out.startswith("series = 1.09947318863310967551352848972\n") and out.endswith("\n[]\n")
+
+
 def test_cli_loads_neither_dataclasses_nor_inspect():
     # result records are named tuples; a subprocess, since pytest itself imports inspect
     script = (
