@@ -11,7 +11,6 @@ to zero.
 
 from __future__ import annotations
 
-import math
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
@@ -38,9 +37,7 @@ class AsymptoticRow(NamedTuple):
 def leading_term(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """L(n) = exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
     with ctx.workprec():
-        n = _read_real(n, "n")
-        if not 1 <= n < math.inf:  # nan fails this too
-            raise ValueError("n must be a finite real number >= 1")
+        n = _read_real(n, "n", low=1)
         return mp.exp(mp.pi * mp.sqrt(mpf(2) * n / 3)) / (4 * n * mp.sqrt(3))
 
 
@@ -84,8 +81,6 @@ def zeta_three_halves(ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def tail_ratio_bound(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     """(2 C pi^2 n / 3) exp(-(pi/2) sqrt(2n/3)), C = zeta(3/2) - 1."""
     with ctx.workprec():
-        n = _read_real(n, "n")
-        if not 1 <= n < math.inf:  # nan fails this too
-            raise ValueError("n must be a finite real number >= 1")
+        n = _read_real(n, "n", low=1)
         c = zeta_three_halves(ctx) - 1
         return 2 * c * mp.pi**2 * n / 3 * mp.exp(-mp.pi / 2 * mp.sqrt(mpf(2) * n / 3))

@@ -42,7 +42,7 @@ _CLOSED_MIN_X = mpf(2) ** -4096
 
 
 def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Power-series I_nu(x) for 0 <= x <= 10^5, finite nu > -1.
+    """Power-series I_nu(x) for 0 <= x <= 10^5, nu > -1.
 
     Parameters
     ----------
@@ -51,13 +51,10 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
     ctx : target precision; nu and x are read once, to nearest, at its width.
     """
     with ctx.workprec():
-        x = _read_real(x, "x")
-        if not 0 <= x <= _SERIES_MAX_X:
-            raise ValueError(f"x must lie in [0, {_SERIES_MAX_X:g}]")
-        nu = _read_real(nu, "nu")
-        # the stop test never passes at nu = +inf
-        if not -1 < nu < mp.inf:
-            raise ValueError("nu must be finite and greater than -1")
+        x = _read_real(x, "x", low=0, high=_SERIES_MAX_X)
+        nu = _read_real(nu, "nu")  # finite: the stop test never passes at nu = +inf
+        if nu <= -1:
+            raise ValueError("nu must be greater than -1")
         if x == 0:
             if nu < 0:
                 return mp.inf  # (x/2)^nu -> +inf as x -> 0+
@@ -77,11 +74,11 @@ def bessel_i_series(nu, x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 
 
 def bessel_i_3_2_closed(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, finite x >= 2^-4096."""
+    """Closed-form I_{3/2}(x) = sqrt(2x/pi) (x cosh x - sinh x)/x^2, x >= 2^-4096."""
     with ctx.workprec():
         x = _read_real(x, "x")
-        if not _CLOSED_MIN_X <= x < mp.inf:
-            raise ValueError("closed form requires finite x >= 2^-4096")
+        if x < _CLOSED_MIN_X:
+            raise ValueError("closed form requires x >= 2^-4096")
         with mp.extraprec(max(0, -2 * mp.mag(x))):
             numerator = x * mp.cosh(x) - mp.sinh(x)
         return mp.sqrt(2 * x / mp.pi) * numerator / (x * x)

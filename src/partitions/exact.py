@@ -109,7 +109,7 @@ class PartitionCache:
         where the next run reads first.  Each p(m) is two C-level sums, one
         per sign, with no Python bytecode per term and no copy of the table.
         """
-        n = _below_ceiling(read_int(n, "n", low=0))
+        n = read_int(n, "n", low=0, high=_MAX_N)
         vals = self._values
         m = len(vals)
         append = vals.append
@@ -128,13 +128,6 @@ class PartitionCache:
             for v in itertools.islice(map(sub, adds, subs), stop - m):
                 append(v)
             m = stop
-
-
-def _below_ceiling(n: int) -> int:
-    """n, refused above ``_MAX_N`` with the recurrence's message."""
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N} for the exact recurrence")
-    return n
 
 
 def _iter_at(seq: list, i: int):
@@ -194,7 +187,8 @@ def cache_save(cache: PartitionCache, path) -> None:
 
 def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
     """(n, p(n)) from the cache line ``raw``, or the first rule it breaks: a line
-    end, the 'n,p(n)' shape and integer syntax, n = ``n`` if given, p(n) >= 1."""
+    end, the 'n,p(n)' shape and integer syntax (``int``'s, less its '_' and
+    '+'), n = ``n`` if given, p(n) >= 1."""
     if raw[-1] != 10:  # 10 is the byte b"\n"
         return "truncated (no line end)"
     # a second comma ends up in ``right`` and a missing one leaves it empty: int() refuses both
@@ -203,6 +197,10 @@ def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
         key, value = int(left), int(right)
     except ValueError:
         return "expected 'n,p(n)'" if raw.count(b",") != 1 else "malformed integer"
+    # int() also reads "1_0" and "+3", the rules do not.  b"_" is 95 and b"+" 43: an int
+    # needle spares bytes.__contains__ the TypeError it raises and clears for a bytes one
+    if 95 in raw or 43 in raw:
+        return "malformed integer"
     if n is not None and key != n:
         order = "gap in n" if key > n else "n out of order"
         return f"{order} (expected {n}, found {key})"
@@ -241,7 +239,7 @@ def cache_lookup(path, n: int) -> int | None:
     So None means that n lies past the end of a file :func:`cache_load`
     accepts, or that :func:`cache_load` refuses the file and names the fault.
     """
-    n = _below_ceiling(read_int(n, "n", low=0))
+    n = read_int(n, "n", low=0, high=_MAX_N)
     found = None  # p(n) from the line the probe at byte hi read, if that line is for n
     with open(path, "rb") as fh:
         lo, hi = 0, fh.seek(0, os.SEEK_END)

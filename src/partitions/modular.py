@@ -54,11 +54,12 @@ _IM_TAU_FLOOR = 1e-4
 
 
 def exp_i_pi_rational(t, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
-    """exp(i*pi*t) for t read exactly by ``Fraction(t)`` (so an mpf raises
-    ``TypeError``), reduced mod 2 before evaluation."""
-    t = Fraction(t) % 2
+    """exp(i*pi*t) for t read exactly by ``Fraction(t)`` (so a finite mpf raises
+    ``TypeError``), reduced mod 2 before evaluation; a NaN or an infinity is
+    first refused by the rule of every number argument."""
     with ctx.workprec():
-        return mp.expjpi(_read_number(t))
+        _read_number(t, "t")
+        return mp.expjpi(_read_number(Fraction(t) % 2, "t"))
 
 
 def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -69,9 +70,7 @@ def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     raises ``ValueError`` before any summing (module docstring).
     """
     with ctx.workprec():
-        x = _read_number(x)
-        if not mp.isfinite(x):  # nan passes every comparison below
-            raise ValueError("x must be finite")
+        x = _read_number(x, "x")
         if abs(x) >= 1:
             raise ValueError("generating product diverges for |x| >= 1")
         if abs(x) > mp.exp(-2 * mp.pi * _IM_TAU_FLOOR):
@@ -83,9 +82,7 @@ def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     """Dedekind eta, exp(pi i tau/12) times Euler's function of exp(2 pi i tau),
     for finite tau with Im tau >= 10^-4."""
     with ctx.workprec():
-        tau = mpc(_read_number(tau))
-        if not mp.isfinite(tau):  # nan passes every comparison below
-            raise ValueError("tau must be finite")
+        tau = mpc(_read_number(tau, "tau"))
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
         if tau.imag < _IM_TAU_FLOOR:
@@ -109,7 +106,7 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
     if c <= 0:
         raise ValueError("c must be positive")
     with ctx.workprec():
-        tau = mpc(_read_number(tau))
+        tau = mpc(_read_number(tau, "tau"))
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half-plane")
         image = (a * tau + b) / (c * tau + d)
@@ -153,9 +150,7 @@ def verify_f_transform(h: int, k: int, z, ctx: PrecisionContext = DEFAULT_CONTEX
         raise ValueError("need 1 <= h <= k")
     H = conjugate_inverse(h, k)
     with ctx.workprec():
-        z = mpc(_read_number(z))
-        if not mp.isfinite(z):  # nan passes every comparison below
-            raise ValueError("z must be finite")
+        z = mpc(_read_number(z, "z"))
         if z.real <= 0:
             raise ValueError("Re z must be positive")
         w = mp.exp(2j * mp.pi * h / k - 2 * mp.pi * z / k**2)

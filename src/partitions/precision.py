@@ -4,8 +4,9 @@ A :class:`PrecisionContext` is a checked width and nothing more: it pins the
 working precision in bits; functions returning mpmath values compute inside
 ``with ctx.workprec():`` and own their stop rules.  Their real and complex
 arguments are read there by one rule, ``_read_number``: once, to nearest,
-at the working width; ``_read_real`` refuses a complex one where only a
-real is meant.
+at the working width, and a NaN or an infinity is refused by name;
+``_read_real`` also refuses a complex one where only a real is meant, and
+one outside the caller's closed range.
 This module holds the package's two writers of process-wide state, each
 holding the private re-entrant ``_STATE_LOCK`` for its whole block, so
 threads' blocks run one at a time: ``workprec`` sets mpmath's precision
@@ -31,6 +32,7 @@ import sys
 import threading
 from collections import namedtuple
 from contextlib import contextmanager
+from math import inf
 from numbers import Rational
 from operator import index
 
@@ -75,23 +77,31 @@ class PrecisionContext(namedtuple("PrecisionContext", "bits")):
 DEFAULT_CONTEXT = PrecisionContext(128)
 
 
-def _read_number(x):
+def _read_number(x, name: str, real: bool = False):
     """``x`` as an mpf or mpc, rounded once to nearest at the working precision
     of the caller's ``workprec()`` block: an int or ``Fraction`` from its exact
     p/q, a str as a real decimal or p/q (else ``ValueError``), and a float,
-    complex, ``Decimal``, mpf or mpc through ``mp.convert``, a NaN of each as nan."""
+    complex, ``Decimal``, mpf or mpc through ``mp.convert``.  A NaN or an
+    infinity of any of these raises ``ValueError`` naming ``name``, after the
+    ``TypeError`` for a complex ``x`` if ``real`` is set."""
     if isinstance(x, Rational):
         return mp.make_mpf(from_rational(int(x.numerator), int(x.denominator), mp.prec, round_nearest))
-    if isinstance(x, str):
-        return mp.mpf(x)
-    return +mp.convert(x)
-
-
-def _read_real(x, name: str):
-    """``x`` read by :func:`_read_number`; ``TypeError`` naming ``name`` if it is complex."""
-    x = _read_number(x)
-    if isinstance(x, mp.mpc):
+    x = mp.mpf(x) if isinstance(x, str) else +mp.convert(x)
+    if real and isinstance(x, mp.mpc):
         raise TypeError(f"{name} must be real")
+    if not mp.isfinite(x):  # nan passes every range comparison
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _read_real(x, name: str, low=-inf, high=inf):
+    """``x`` read by :func:`_read_number` as a real, and ``ValueError`` naming
+    ``name`` below ``low`` or above ``high``, in the words of ``read_int``."""
+    x = _read_number(x, name, real=True)
+    if x < low:
+        raise ValueError(f"{name} must be at least {low}")
+    if x > high:
+        raise ValueError(f"{name} must be at most {high}")
     return x
 
 

@@ -117,7 +117,8 @@ _ROUND_UP = 1 + 2.0**-32
 # the float tier's eps = 2^-50, written as eps = 2^(1 - p) with p = 51
 _FLOAT_BITS = 51
 # the series functions refuse larger n, for time: 10^9 takes seconds (117,106 working
-# bits; README gives measured times), most of it in selberg_roots' O(k) scans
+# bits; README gives measured times), most of it in selberg_roots' O(k) scans.  Each
+# series entry reads n against it, as the float bounds overflow from n ~ 10^308
 _MAX_N = 10**9
 # the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
 _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
@@ -157,29 +158,15 @@ def _alpha_float(n: int) -> float:
     return math.pi * math.sqrt(2 / 3 * (n - 1 / 24))
 
 
-def _check_n(n: int) -> int:
-    """n as an int, refusing a non-integer or n outside 1..``_MAX_N``, at
-    each series entry: ``default_precision``, ``truncation_bound``,
-    ``terms_needed``, ``r_k`` and ``p_series`` (the float bounds overflow from
-    n ~ 10^308).  ``p_series`` checks n first and then calls the first three,
-    which check it again."""
-    n = read_int(n, "n")
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N} for the series")
-    return n
-
-
 def default_precision(n: int) -> int:
     """Working bits: ceil(alpha(n) log2 e) for the magnitude, plus 64."""
-    return math.ceil(_alpha_float(_check_n(n)) / _LN2) + 64
+    return math.ceil(_alpha_float(read_int(n, "n", high=_MAX_N)) / _LN2) + 64
 
 
 def alpha(n, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
-    """alpha(n) = pi sqrt((2/3)(n - 1/24)) for a finite real n >= 1; positive, increasing in n."""
+    """alpha(n) = pi sqrt((2/3)(n - 1/24)) for a real n >= 1; positive, increasing in n."""
     with ctx.workprec():
-        n = _read_real(n, "n")
-        if not 1 <= n < math.inf:  # nan fails this too
-            raise ValueError("n must be a finite real number >= 1")
+        n = _read_real(n, "n", low=1)
         return mp.pi * mp.sqrt((mpf(2) * n - mpf(1) / 12) / 3)
 
 
@@ -280,7 +267,7 @@ def a_k(k: int, n: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpf:
 def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
     """The k-th series term R_k(n), its A_k(n) weight and its error bound,
     computed at the width of ``ctx``."""
-    n, k = _check_n(n), read_int(k, "k", high=_MAX_K)
+    n, k = read_int(n, "n", high=_MAX_N), read_int(k, "k", high=_MAX_K)
     roots = selberg_roots(k, n)
     width = ctx.bits + GUARD_BITS
     a, p = _alpha_p(n, width)
@@ -289,7 +276,7 @@ def r_k(n: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SeriesTerm:
 
 def truncation_bound(n: int, n_terms: int) -> float:
     """T(n, N) >= |sum_{k>N} R_k(n)|, rounded up, for N <= ``_MAX_K``; +inf where sinh overflows."""
-    n, n_terms = _check_n(n), read_int(n_terms, "N", high=_MAX_K)
+    n, n_terms = read_int(n, "n", high=_MAX_N), read_int(n_terms, "N", high=_MAX_K)
     if n == 1:
         a = _alpha_float(1)
         t = 2 * math.pi**2 / (9 * _ROOT3 * math.sqrt(n_terms)) * math.cosh(a / (n_terms + 1))
@@ -304,7 +291,7 @@ def truncation_bound(n: int, n_terms: int) -> float:
 def terms_needed(n: int) -> int:
     """The smallest N with truncation_bound(n, N) < 1/4: N doubles from 1
     until T < 1/4, then the last interval (low, high] is halved."""
-    n = _check_n(n)
+    n = read_int(n, "n", high=_MAX_N)
     low, high = 0, 1  # T(n, low) >= 1/4 throughout, reading T(n, 0) as +inf
     while truncation_bound(n, high) >= 0.25:
         low, high = high, 2 * high
@@ -332,7 +319,7 @@ def p_series(n: int) -> SeriesReport:
     ``GUARD_BITS`` bits; each term runs at the fewest bits whose bound fits
     B = (1/4 - T)/(2N), in floats when their bound does.
     """
-    n = _check_n(n)
+    n = read_int(n, "n", high=_MAX_N)
     bits = default_precision(n)
     width = bits + GUARD_BITS
     n_terms = terms_needed(n)

@@ -340,6 +340,8 @@ LINE_DAMAGE = {
     "three_fields": (lambda n: [f"{n},{P_ORACLE[n]},1\n"], lambda n: "expected 'n,p(n)'"),
     "bad_n": (lambda n: [f"x{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "bad_value": (lambda n: [f"{n},{P_ORACLE[n]}.5\n"], lambda n: "malformed integer"),
+    "plus_sign": (lambda n: [f"{n},+{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
+    "underscore": (lambda n: [f"{n},0_{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "gap": (lambda n: [], lambda n: f"gap in n (expected {n}, found {n + 1})"),
     "repeated_n": (
         lambda n: [f"{n - 1},{P_ORACLE[n]}\n"],
@@ -405,7 +407,7 @@ def test_cache_lookup_of_an_empty_file_or_a_wrong_p0_is_none(tmp_path):
 
 
 @pytest.mark.parametrize("n, message", [(-1, "n must be nonnegative"),
-                                        (10**5 + 1, "n must be at most 100000 for the exact recurrence")])
+                                        (10**5 + 1, "n must be at most 100000")])
 def test_cache_lookup_reads_n_before_the_file(tmp_path, n, message):
     # p_exact's own refusals, raised before the missing file is opened
     for call in (p_exact, lambda n: cache_lookup(tmp_path / "missing.csv", n)):

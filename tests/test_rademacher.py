@@ -47,8 +47,9 @@ def test_alpha_monotone():
 
 def test_alpha_rejects_zero():
     # and nan, which passes n < 1, and the other non-finite or sub-1 reals
-    for n in (0, math.nan, math.inf, -math.inf, 0.5):
-        with pytest.raises(ValueError, match="^n must be a finite real number >= 1$"):
+    for n, rule in ((0, "at least 1"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+                    (0.5, "at least 1")):
+        with pytest.raises(ValueError, match=f"^n must be {rule}$"):
             alpha(n, CTX)
 
 
@@ -774,8 +775,8 @@ N_CHECKED = {
 @pytest.mark.parametrize("n,message", [
     (0, "n must be a positive integer"),
     (-3, "n must be a positive integer"),
-    (10**9 + 1, "n must be at most 1000000000 for the series"),
-    (10**400, "n must be at most 1000000000 for the series"),
+    (10**9 + 1, "n must be at most 1000000000"),
+    (10**400, "n must be at most 1000000000"),
 ], ids=["0", "-3", "1e9+1", "1e400"])
 @pytest.mark.parametrize("name", list(N_CHECKED))
 def test_series_functions_check_n(name, n, message):
