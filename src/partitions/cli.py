@@ -9,10 +9,9 @@ lift ``series`` prints under (:mod:`partitions.precision`) included.
 
 Exit codes: 0 on success, 1 when a verification or series certification
 fails (and for I/O trouble), 2 for usage errors: argparse checks the
-arguments' syntax, ``verify`` the range of its own --samples, and the
-library function that receives any other value checks it and raises
-ValueError (``PrecisionContext`` refuses a --prec outside 64 to
-``MAX_BITS`` = 4096 bits).  All error text goes to stderr.  Output is
+arguments' syntax, and the library function that receives a value checks
+it and raises ValueError (``PrecisionContext`` refuses a --prec outside 64
+to ``MAX_BITS`` = 4096 bits).  All error text goes to stderr.  Output is
 deterministic for fixed arguments: summation orders, sample schedules, and
 precision policies contain no randomness.
 """
@@ -30,9 +29,6 @@ from .exact import PartitionCache, cache_load, cache_lookup, cache_save, p_exact
 # handlers that use them, so `partitions exact N` never pays for them.
 
 CACHE_ENV_VAR = "PARTITIONS_CACHE"
-# verify refuses more samples, for time: at 32 samples and 4096 bits eta
-# took 27 to 30 s and ftransform 22 to 24 s of CPU on one pinned Intel Xeon vCPU
-VERIFY_MAX_SAMPLES = 32
 
 
 def _frac_str(x) -> str:
@@ -278,10 +274,6 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # before any case is built: --samples bounds this handler's own loop
-    if not 1 <= args.samples <= VERIFY_MAX_SAMPLES:
-        raise ValueError(f"verify takes --samples 1 to {VERIFY_MAX_SAMPLES}")
-
     from mpmath import mp, mpf
 
     from .modular import eta_verification_cases, f_transform_cases, verify_eta, verify_f_transform

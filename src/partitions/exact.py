@@ -31,6 +31,8 @@ ORACLE_LIMIT = 5000
 # vCPU of an AMD EPYC VM (best of 6), and on a Xeon VM had not finished after 300 s
 # at 10^6 (its table, about 0.3 n^1.5 bytes, then held 290 MB)
 _MAX_N = 10**5
+# every byte a cache line may hold; the minus lets a negative p(n) reach its own rule
+_LINE_BYTES = b"0123456789,- \t\r\n"
 
 
 class PentagonalPair(NamedTuple):
@@ -187,8 +189,9 @@ def cache_save(cache: PartitionCache, path) -> None:
 
 def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
     """(n, p(n)) from the cache line ``raw``, or the first rule it breaks: a line
-    end, the 'n,p(n)' shape and integer syntax (``int``'s, less its '_' and
-    '+'), n = ``n`` if given, p(n) >= 1."""
+    end, the 'n,p(n)' shape and integer syntax (ASCII digits, leading zeros, spaces
+    and tabs around a field, CRLF; not the vertical tab, form feed, '_' or '+'
+    that ``int`` takes), n = ``n`` if given, p(n) >= 1."""
     if raw[-1] != 10:  # 10 is the byte b"\n"
         return "truncated (no line end)"
     # a second comma ends up in ``right`` and a missing one leaves it empty: int() refuses both
@@ -197,9 +200,7 @@ def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
         key, value = int(left), int(right)
     except ValueError:
         return "expected 'n,p(n)'" if raw.count(b",") != 1 else "malformed integer"
-    # int() also reads "1_0" and "+3", the rules do not.  b"_" is 95 and b"+" 43: an int
-    # needle spares bytes.__contains__ the TypeError it raises and clears for a bytes one
-    if 95 in raw or 43 in raw:
+    if raw.translate(None, _LINE_BYTES):
         return "malformed integer"
     if n is not None and key != n:
         order = "gap in n" if key > n else "n out of order"

@@ -77,13 +77,17 @@ libmp's mpf_sum, for its cosines at one width.
 Routing.  Term k runs at the fewest bits p_k = ceil(2 + log2(C_k/B)) with
 eps C_k <= B/2, B = (1/4 - T)/(2N) being its share of the slack and the
 factor 2 a margin for the floating evaluation of E_k.  Floats count as 51
-bits: the term runs in floats if p_k <= 51 and u <= 700, else in mpmath at
-max(p_k, 51) bits, capped at the full width.  B is a share of the slack,
-not a fixed size, because the slack can be small: 3.3e-7 at n = 13312 and
-3.8e-9 at n = 184570.  A term with no Selberg roots has A_k = 0 exactly,
-so C_k = 0; for u <= 700 :func:`p_series` writes down what the float
-evaluator returns for it (0.0, 0.0 and the floor e^-700, rounded up)
-without running it.
+bits: the term runs in floats if p_k <= 51, else in mpmath at p_k bits,
+capped at the full width.  B is a share of the slack, not a fixed size,
+because the slack can be small: 3.3e-7 at n = 13312 and 3.8e-9 at
+n = 184570.  No term with roots meets floats past u = 700, where e^u
+nears overflow: there, with S >= 1 and k = a/u, C_k = 2 pi^2 S (1 + u)
+(2.1u + 37) e^u/(9 a^2 u) > 3305 e^u/a^2, and a < 81117 for n <= 10^9,
+so log C_k > u - 14.5 > 685; as B <= 1/8, p_k > 2 + 687.5/log 2 > 993,
+so p_k >= 994 (measured, the least is 1027, 1247, 1076, 1038 and 1031 at
+n = 7.5e4, 1e6, 1e7, 1e8 and 1e9).  A term with no Selberg roots is 0
+exactly (A_k = 0), and at any u :func:`p_series` writes it down as 0.0,
+0.0 and the floor e^-700 of every bound, rounded up.
 
 Certification: the computed sum S lies within T + E of p(n).
 :func:`p_series` returns nint(S) only if T + E < 1/4 and T + E + gap < 1/2,
@@ -120,7 +124,7 @@ _FLOAT_BITS = 51
 # bits; README gives measured times), most of it in selberg_roots' O(k) scans.  Each
 # series entry reads n against it, as the float bounds overflow from n ~ 10^308
 _MAX_N = 10**9
-# the bound of a term with A_k = 0 and u <= 700: e^-700, the floor of every bound, rounded up
+# the bound of a term with A_k = 0: e^-700, the floor of every bound, rounded up
 _ZERO_TERM_BOUND = math.exp(-700) * _ROUND_UP
 
 
@@ -199,18 +203,17 @@ def selberg_sum(k: int, roots: list[int], root_k: float | tuple, bits: int | Non
     computed on ``mpmath.libmp`` at ``bits`` bits, rounding to nearest.
     Both tiers run the same operations in the same order, which the error
     model above counts."""
+    if k <= 2:
+        # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
+        one = -1 if roots[0] else 1
+        return float(one) if bits is None else from_int(one)
     if bits is None:
-        if k <= 2:
-            # A_1 = 1 and A_2 = (-1)^n exactly: the roots are [0, 1], or [2, 3] for k = 2 and odd n
-            return -1.0 if roots[0] else 1.0
         pi = math.pi
         summands = []
         for l in roots:
             c = math.cos(pi * (6 * l + 1) / (6 * k))
             summands.append(-c if l % 2 else c)
         return root_k / _ROOT3 * math.fsum(summands)
-    if k <= 2:
-        return from_int(-1 if roots[0] else 1)
     pi = mpf_pi(bits, _RND)
     den = from_int(6 * k)
     summands = []
@@ -301,14 +304,12 @@ def terms_needed(n: int) -> int:
     return high
 
 
-def _term_bits(u: float, log_c: float, log_budget: float, width: int) -> int | None:
-    """The fewest bits p with eps C_k <= B/2 for a term with u = a/k and
-    log C_k = ``log_c``, B = e^``log_budget``: None (floats) if p <= 51 and
-    u <= 700, else p for mpmath, at most ``width``."""
+def _term_bits(log_c: float, log_budget: float, width: int) -> int | None:
+    """The fewest bits p with eps C_k <= B/2 for a term with log C_k =
+    ``log_c``, B = e^``log_budget``: None (floats) if p <= 51, else p for
+    mpmath, at most ``width``."""
     bits = 2 + (log_c - log_budget) / _LN2
-    if bits <= _FLOAT_BITS and u <= 700:
-        return None
-    return min(width, math.ceil(max(bits, _FLOAT_BITS)))
+    return None if bits <= _FLOAT_BITS else min(width, math.ceil(bits))
 
 
 def p_series(n: int) -> SeriesReport:
@@ -330,12 +331,11 @@ def p_series(n: int) -> SeriesReport:
     terms = []
     for k in range(1, n_terms + 1):
         roots = selberg_roots(k, n)
-        u = a_float / k
-        if not roots and u <= 700:  # A_k = 0: what _term returns in floats, without running it
+        if not roots:  # A_k = 0 exactly: the term is 0 and its bound the floor
             terms.append(SeriesTerm(k, 0.0, 0.0, _ZERO_TERM_BOUND))
             continue
-        log_c = _log_c(k, len(roots), u, p_float)
-        term_bits = _term_bits(u, log_c, log_budget, width)
+        log_c = _log_c(k, len(roots), a_float / k, p_float)
+        term_bits = _term_bits(log_c, log_budget, width)
         if term_bits is None:  # a and P rounded to floats once per series, not once per term
             terms.append(_term(k, roots, a_float, p_float, None, log_c))
         else:

@@ -11,6 +11,7 @@ from schedule import run_a_then_b
 from test_exact import LINE_DAMAGE, P_ORACLE
 from partitions import cli
 from partitions.exact import CacheFormatError, cache_load
+from partitions.modular import eta_verification_cases, f_transform_cases
 from partitions.rademacher import p_series
 
 RESIDUES_PATH = Path(__file__).with_name("partition_residues.json")
@@ -121,21 +122,21 @@ def test_exact_and_series_agree(capsys):
     assert json.loads(series_out)["rounded"] == exact_out.strip()
 
 
-def test_verify_ceilings_checked_before_any_case(capsys, monkeypatch):
-    # a huge --samples would otherwise build its whole case list first
-    def no_cases(count):
-        raise AssertionError("cases built")
-
-    monkeypatch.setattr("partitions.modular.eta_verification_cases", no_cases)
-    monkeypatch.setattr("partitions.modular.f_transform_cases", no_cases)
+def test_verify_ceilings_checked_before_any_case(capsys):
+    # each case stream reads its count before it builds a case, so a huge
+    # --samples exits 2 at once and prints nothing
     for law in ("eta", "ftransform"):
         for flags, message in (
-            (["--samples", str(10**12)], "--samples 1 to 32"),
-            (["--samples", "-5"], "--samples 1 to 32"),
+            (["--samples", str(10**12)], "samples must be at most 32"),
+            (["--samples", "-5"], "samples must be a positive integer"),
             (["--prec", "131072"], "precision must be at most 4096 bits"),
         ):
             code, out, err = run(["verify", law, *flags], capsys)
             assert (code, out) == (2, "") and message in err
+    for stream in (eta_verification_cases, f_transform_cases):
+        for count, rule in ((10**12, "at most 32"), (0, "a positive integer"), (-5, "a positive integer")):
+            with pytest.raises(ValueError, match=f"^samples must be {rule}$"):
+                stream(count)
 
 
 def test_cache_flag_round_trip(tmp_path, capsys):
@@ -328,6 +329,8 @@ GOLDEN = [
     ("series 7", 0, "sha256:adfc3e528176f45732623f4826760ff110ce0bc50f4d3f28606c3aa5bac546e4"),
     ("series 200", 0, "sha256:4309960366f79a02a7cc6b0ad864fc50431d03017bbd6a15b30b5f8ccf853070"),
     ("series 100", 0, "sha256:ee51cc666d04284f7d3257cb7964e3a40dfa71b3de910802f9def2d3a6caeef2"),
+    # k = 7 has no Selberg roots and u = alpha/7 > 700: a zero term past e^u's float range
+    ("series 10000000", 0, "sha256:d3672d2fb4dc1558efe38aef516d2ab951207ac669babc3c96f93bb58d681ac5"),
     ("series 7 --terms 3 --prec 80", 2, ""),
     ("series 0", 2, ""),
     ("series -3", 2, ""),

@@ -342,6 +342,9 @@ LINE_DAMAGE = {
     "bad_value": (lambda n: [f"{n},{P_ORACLE[n]}.5\n"], lambda n: "malformed integer"),
     "plus_sign": (lambda n: [f"{n},+{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "underscore": (lambda n: [f"{n},0_{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
+    # int() strips both around a field, the rules take only spaces and tabs
+    "vertical_tab": (lambda n: [f"\x0b{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
+    "form_feed": (lambda n: [f"{n},{P_ORACLE[n]}\x0c\n"], lambda n: "malformed integer"),
     "gap": (lambda n: [], lambda n: f"gap in n (expected {n}, found {n + 1})"),
     "repeated_n": (
         lambda n: [f"{n - 1},{P_ORACLE[n]}\n"],

@@ -388,3 +388,48 @@ def test_unused_import_check_sees_one():
 @pytest.mark.parametrize("path", sorted(Path(partitions.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_modules_import_no_unused_name(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (a function, class or assignment; not a
+    dunder) of the modules in ``sources``, keyed by module name, that no module
+    reads: the defining one loads them nowhere, no other one imports them
+    from it, and none reads them as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read, attributes = set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, alias.name) for alias in node.names)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            dead += [f"{module} line {node.lineno}: {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and (module, name) not in read and name not in attributes]
+    return dead
+
+
+def test_dead_private_name_check_sees_them():
+    sources = {
+        "a": "_USED = 1\n_DEAD = 2\n_IMPORTED = 3\n__dunder__ = 4\ndef _helper(): return _USED\nclass _Gone: pass\n",
+        "b": "from .a import _IMPORTED\nimport a\n_IMPORTED, a._helper\n",
+    }
+    assert _dead_private_names(sources) == ["a line 2: _DEAD", "a line 6: _Gone"]
+
+
+def test_modules_define_no_dead_private_name():
+    # a constant or helper that a deletion leaves behind
+    paths = Path(partitions.__file__).parent.glob("*.py")
+    assert _dead_private_names({path.stem: path.read_text() for path in paths}) == []

@@ -474,7 +474,7 @@ def test_running_error_within_half_the_model_bound(n):
             continue
         u = float(a) / k
         log_c = _log_c(k, len(roots), u, float(p))
-        for bits in (_term_bits(u, log_c, log_budget, width) or _FLOAT_BITS, *([None] if u <= 700 else [])):
+        for bits in (_term_bits(log_c, log_budget, width) or _FLOAT_BITS, *([None] if u <= 700 else [])):
             eps = mpf(2) ** (1 - (bits or _FLOAT_BITS))
             error = _running_term(k, roots, a, p, bits, eps).error
             assert error <= eps * mp.exp(log_c) / 2, (n, k, bits, error / (eps * mp.exp(log_c) / 2))
@@ -483,22 +483,29 @@ def test_running_error_within_half_the_model_bound(n):
 
 
 def test_float_term_declines_where_exp_overflows():
-    # alpha(10^6)/3 > 709.8: e^u is no float, so k = 3 never runs in floats, whatever its bound
-    n = 10**6
-    a = float(alpha(n, PrecisionContext(default_precision(n))))
-    assert a / 4 < 700 < a / 3
-    assert _term_bits(a / 3, -1000.0, 0.0, 10**4) is not None
-    assert _term_bits(a / 4, -1000.0, 0.0, 10**4) is None
-    assert all(not isinstance(term.r_k, float) for term in p_series(n).terms if a / term.k > 700)
+    # past u = 700 e^u nears a float's overflow, and the module docstring's bound
+    # routes every term with roots there to at least 994 bits: checked with S = 1,
+    # the least log C_k, by the routing functions alone, so 10^9 runs no series
+    for n in (75_000, 10**6, 10**7, 10**8, 10**9):
+        n_terms = terms_needed(n)
+        width = default_precision(n) + GUARD_BITS
+        log_budget = math.log((0.25 - truncation_bound(n, n_terms)) / (2 * n_terms))
+        a, p = (float(x) for x in _alpha_p(n, width))
+        ks = [k for k in range(1, n_terms + 1) if a / k > 700]
+        assert ks, n
+        for k in ks:
+            assert _term_bits(_log_c(k, 1, a / k, p), log_budget, width) >= 994, (n, k)
+    a = float(alpha(10**6, CTX))
+    assert all(not isinstance(term.r_k, float) for term in p_series(10**6).terms
+               if a / term.k > 700 and selberg_roots(term.k, 10**6))
 
 
 def test_every_term_in_floats_is_not_certified(monkeypatch):
-    # routing the wide head terms to floats too must fail loudly, not round a wrong sum
-    monkeypatch.setattr(
-        "partitions.rademacher._term_bits", lambda u, log_c, log_budget, width: None if u <= 700 else width
-    )
+    # routing the wide head terms to floats too must fail loudly, not round a wrong sum;
+    # alpha(5 10^4) = 573.6, so every u <= 700 and e^u is a float
+    monkeypatch.setattr("partitions.rademacher._term_bits", lambda log_c, log_budget, width: None)
     with pytest.raises(CertificationError):
-        p_series(10**5)
+        p_series(5 * 10**4)
 
 
 def test_head_term_at_64_bits_is_not_certified(monkeypatch):
@@ -506,9 +513,9 @@ def test_head_term_at_64_bits_is_not_certified(monkeypatch):
     term_bits = _term_bits
     calls = []
 
-    def head_at_64(u, log_c, log_budget, width):
-        calls.append(u)
-        return 64 if len(calls) == 1 else term_bits(u, log_c, log_budget, width)
+    def head_at_64(log_c, log_budget, width):
+        calls.append(log_c)
+        return 64 if len(calls) == 1 else term_bits(log_c, log_budget, width)
 
     monkeypatch.setattr("partitions.rademacher._term_bits", head_at_64)
     with pytest.raises(CertificationError):
@@ -516,7 +523,7 @@ def test_head_term_at_64_bits_is_not_certified(monkeypatch):
 
 
 def test_zero_weight_terms_are_the_float_evaluators():
-    # p_series skips the evaluator for A_k = 0 (no Selberg roots) and u <= 700;
+    # p_series skips the evaluator for A_k = 0 (no Selberg roots); where u <= 700
     # each such term must be bit for bit what _term returns for it in floats
     skipped = 0
     for n in (*range(1, 301), 6742, 13312, 184570, 999_999):
@@ -531,11 +538,12 @@ def test_zero_weight_terms_are_the_float_evaluators():
             assert got == (float, expected.a_k.hex(), float, expected.r_k.hex(), expected.bound), (n, term.k)
             skipped += 1
     assert skipped > 1000
-    # above u = 700, e^u is no float: a term with no roots stays with the mpmath evaluator
+    # above u = 700 e^u is no float, but a term with no roots is written down the same
     n = 10**7
     assert not selberg_roots(7, n) and float(alpha(n, CTX)) / 7 > 700
     term = p_series(n).terms[6]
-    assert (term.k, type(term.r_k), term.r_k) == (7, mpf, 0)
+    assert (term.k, type(term.a_k), term.a_k, type(term.r_k), term.r_k) == (7, float, 0.0, float, 0.0)
+    assert term.bound == math.exp(-700) * _ROUND_UP
 
 
 def _exact(x):
