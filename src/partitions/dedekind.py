@@ -47,8 +47,6 @@ _MAX_K = 10**7
 # selberg_roots reads k <= _TABLE_K from tables: they serve every term of
 # p_series(n) for n <= 5e4 (N = 125) and hold about 0.7 MB in all
 _TABLE_K = 128
-# -l(3l+1)/2 for l in [0, 2 _TABLE_K): mod k, the n mod k whose table entry holds l
-_NEG_PENTAGONAL = [-(l * (3 * l + 1) // 2) for l in range(2 * _TABLE_K)]
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -84,8 +82,8 @@ def _root_table(k: int) -> list[list[int]]:
     """k's table, for 1 <= k <= ``_TABLE_K``: entry r lists the l in [0, 2k)
     with l(3l+1)/2 = -r (mod k), ascending."""
     table = [[] for _ in range(k)]
-    for l, residue in enumerate(_NEG_PENTAGONAL[:2 * k]):
-        table[residue % k].append(l)
+    for l in range(2 * k):
+        table[-(l * (3 * l + 1) // 2) % k].append(l)
     return table
 
 

@@ -31,8 +31,8 @@ ORACLE_LIMIT = 5000
 # vCPU of an AMD EPYC VM (best of 6), and on a Xeon VM had not finished after 300 s
 # at 10^6 (its table, about 0.3 n^1.5 bytes, then held 290 MB)
 _MAX_N = 10**5
-# every byte a cache line may hold; the minus lets a negative p(n) reach its own rule
-_LINE_BYTES = b"0123456789,- \t\r\n"
+# every byte a cache line may hold
+_LINE_BYTES = b"0123456789, \t\r\n"
 
 
 class PentagonalPair(NamedTuple):
@@ -154,9 +154,7 @@ def partition_table_dp(n_max: int) -> list[int]:
     product; O(n^2) big-integer additions overall.  Independent of the
     recurrence path on purpose.
     """
-    n_max = read_int(n_max, "n_max", low=0)
-    if n_max > ORACLE_LIMIT:
-        raise ValueError(f"DP oracle is limited to n <= {ORACLE_LIMIT}")
+    n_max = read_int(n_max, "n_max", low=0, high=ORACLE_LIMIT)
     table = [0] * (n_max + 1)
     table[0] = 1
     for part in range(1, n_max + 1):
@@ -190,7 +188,7 @@ def cache_save(cache: PartitionCache, path) -> None:
 def _read_line(raw: bytes, n: int | None = None) -> tuple[int, int] | str:
     """(n, p(n)) from the cache line ``raw``, or the first rule it breaks: a line
     end, the 'n,p(n)' shape and integer syntax (ASCII digits, leading zeros, spaces
-    and tabs around a field, CRLF; not the vertical tab, form feed, '_' or '+'
+    and tabs around a field, CRLF; not the vertical tab, form feed, '_', '+' or '-'
     that ``int`` takes), n = ``n`` if given, p(n) >= 1."""
     if raw[-1] != 10:  # 10 is the byte b"\n"
         return "truncated (no line end)"

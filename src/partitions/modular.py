@@ -74,8 +74,6 @@ def generating_function(x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """
     with ctx.workprec():
         x = _read_number(x, "x")
-        if abs(x) >= 1:
-            raise ValueError("generating product diverges for |x| >= 1")
         if abs(x) > mp.exp(-2 * mp.pi * _IM_TAU_FLOOR):
             raise ValueError(f"|x| must be at most exp(-2 pi {_IM_TAU_FLOOR:g})")
         return 1 / mp.qp(x)
@@ -86,8 +84,6 @@ def eta(tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpc:
     for finite tau with Im tau >= 10^-4."""
     with ctx.workprec():
         tau = mpc(_read_number(tau, "tau"))
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
         if tau.imag < _IM_TAU_FLOOR:
             raise ValueError(f"Im tau must be at least {_IM_TAU_FLOOR:g}")
         return mp.expjpi(tau / 12) * mp.qp(mp.expjpi(2 * tau))
@@ -110,12 +106,10 @@ def verify_eta(matrix, tau, ctx: PrecisionContext = DEFAULT_CONTEXT) -> EtaCheck
         raise ValueError("c must be positive")
     with ctx.workprec():
         tau = mpc(_read_number(tau, "tau"))
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half-plane")
-        image = (a * tau + b) / (c * tau + d)
-        lhs = eta(image, ctx)
+        eta_tau = eta(tau, ctx)  # first: its floor refuses a tau on or below the real axis, -d/c included
+        lhs = eta((a * tau + b) / (c * tau + d), ctx)
         phase = Fraction(a + d, 12 * c) + dedekind_sum(-d, c)
-        rhs = exp_i_pi_rational(phase, ctx) * mp.sqrt(-1j * (c * tau + d)) * eta(tau, ctx)
+        rhs = exp_i_pi_rational(phase, ctx) * mp.sqrt(-1j * (c * tau + d)) * eta_tau
         residual = abs(lhs - rhs)
     return EtaCheckReport((a, b, c, d), tau, lhs, rhs, residual)
 

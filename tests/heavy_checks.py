@@ -143,6 +143,21 @@ def test_series_matches_recurrence_up_to_its_ceiling():
         list(pool.map(lambda start: run_script(script, str(start), timeout=300), (1, 2)))
 
 
+def test_series_matches_recurrence_mod_2_64_up_to_10_6():
+    # above the exact ceiling: p(n) mod 2^64 by the recurrence, not by sympy,
+    # against the residue rows and p_series at 4295 n in (10^5, 10^6] and below;
+    # each process builds the whole table and checks half the n, about 110 s
+    # of CPU on one vCPU
+    script = str(Path(__file__).with_name("recurrence_mod_2_64.py"))
+
+    def part(start):
+        done = launch.python(script, str(start), "2", timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(part, (0, 1)))
+
+
 def test_exact_at_its_ceiling_matches_reference_residue():
     assert_reference(answer("exact", "100000"), 100000)
 

@@ -3,8 +3,10 @@ bit length, for n beyond the exact route's reach.
 
 The values come from sympy's ``partition`` (its own Hardy-Ramanujan-Rademacher
 code, with Whiteman's A_k and its own precision rule), cross-checked with the
-pentagonal recurrence ``p_exact`` for n <= 10^5.  sympy is needed only here,
-not by the package or its tests.  Run once, offline, from the repository root:
+pentagonal recurrence ``p_exact`` for n <= 10^5.  The rows with n <= 10^6
+(8 of them, 6 above 10^5) are also checked mod 2^64 without sympy, against
+the recurrence mod 2^64 of ``recurrence_mod_2_64.py``, by the heavy checks.
+sympy is needed only here, not by the package or its tests.  Run once, offline, from the repository root:
 
     PYTHONPATH=src python tests/make_partition_residues.py
 

@@ -13,7 +13,8 @@ import random
 from partitions.precision import unlimited_int_str
 from partitions.rademacher import p_series
 
-NS = [*range(1, 3001), *random.Random(20261020).sample(range(1, 10**6), 300), 10**7, 17_782_794]
+SEEDED = random.Random(20261020).sample(range(1, 10**6), 300)
+NS = [*range(1, 3001), *SEEDED, 10**7, 17_782_794]
 
 
 def main():

@@ -27,12 +27,10 @@ def test_generating_function_near_zero():
 
 
 def test_generating_function_rejects_big_arguments():
-    with pytest.raises(ValueError):
-        generating_function(1, CTX)
-    with pytest.raises(ValueError):
-        generating_function(mpf("1.5"), CTX)
-    with pytest.raises(ValueError):
-        generating_function(mpc(0.8, 0.7), CTX)
+    # |x| >= 1 is refused by the floor near |x| = 1
+    for x in (1, mpf("1.5"), mpc(0.8, 0.7)):
+        with pytest.raises(ValueError, match=r"\|x\|"):
+            generating_function(x, CTX)
     # nan passes every comparison, and would end in mpmath's NoConvergence
     for x in (mpf("nan"), mpc(0, "nan"), mpf("inf")):
         with pytest.raises(ValueError, match="finite"):
@@ -158,10 +156,10 @@ def test_floor_is_summed_at_the_cusp_one_half():
 
 
 def test_eta_rejects_lower_half_plane():
-    with pytest.raises(ValueError):
-        eta(mpc(0, -1), CTX)
-    with pytest.raises(ValueError):
-        eta(mpf(2), CTX)
+    # the floor Im tau >= 10^-4 refuses the real axis and below it
+    for tau in (mpc(0, -1), mpf(2)):
+        with pytest.raises(ValueError, match="Im tau"):
+            eta(tau, CTX)
     for tau in (mpc("nan", 1), mpc(0, "nan"), mpc("inf", 1), mpc(0, "inf")):
         with pytest.raises(ValueError, match="finite"):
             eta(tau, CTX)
@@ -194,8 +192,10 @@ def test_verify_eta_rejects_bad_inputs():
         verify_eta((1, 0, 0, 1), mpc(0, 1), CTX)  # c = 0
     with pytest.raises(ValueError):
         verify_eta((1, 1, 1, 1), mpc(0, 1), CTX)  # det 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Im tau"):
         verify_eta((0, -1, 1, 0), mpc(0, -2), CTX)
+    with pytest.raises(ValueError, match="Im tau"):  # c tau + d = 0: eta(tau) refuses tau first
+        verify_eta((1, 0, 2, 1), -0.5, CTX)
     with pytest.raises(ValueError, match="finite"):
         verify_eta((1, 0, 1, 1), mpc("inf", 1), CTX)
 

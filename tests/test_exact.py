@@ -192,7 +192,7 @@ def test_dp_oracle_values():
 
 
 def test_dp_oracle_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^n_max must be at most {ORACLE_LIMIT}$"):
         p_oracle_dp(ORACLE_LIMIT + 1)
     with pytest.raises(ValueError):
         partition_table_dp(-1)
@@ -346,12 +346,13 @@ LINE_DAMAGE = {
     "vertical_tab": (lambda n: [f"\x0b{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "form_feed": (lambda n: [f"{n},{P_ORACLE[n]}\x0c\n"], lambda n: "malformed integer"),
     "gap": (lambda n: [], lambda n: f"gap in n (expected {n}, found {n + 1})"),
-    "repeated_n": (
+    "repeated_n": (  # at n = 0 the line starts "-1,": a sign is no digit
         lambda n: [f"{n - 1},{P_ORACLE[n]}\n"],
-        lambda n: f"n out of order (expected {n}, found {n - 1})",
+        lambda n: f"n out of order (expected {n}, found {n - 1})" if n else "malformed integer",
     ),
+    "signed_n": (lambda n: [f"-{n},{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     "zero": (lambda n: [f"{n},0\n"], lambda n: "p(n) must be positive"),
-    "negative": (lambda n: [f"{n},-{P_ORACLE[n]}\n"], lambda n: "p(n) must be positive"),
+    "negative": (lambda n: [f"{n},-{P_ORACLE[n]}\n"], lambda n: "malformed integer"),
     # two faults on one line: the rule named is the first broken, in the order above
     "truncated_bad_value": (lambda n: [f"{n},x"], lambda n: "truncated (no line end)"),
     "three_fields_bad_value": (lambda n: [f"{n},x,1\n"], lambda n: "expected 'n,p(n)'"),
