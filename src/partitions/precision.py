@@ -82,11 +82,14 @@ def _read_number(x, name: str, real: bool = False):
     of the caller's ``workprec()`` block: an int or ``Fraction`` from its exact
     p/q, a str as a real decimal or p/q (else ``ValueError``), and a float,
     complex, ``Decimal``, mpf or mpc through ``mp.convert``.  A NaN or an
-    infinity of any of these raises ``ValueError`` naming ``name``, after the
-    ``TypeError`` for a complex ``x`` if ``real`` is set."""
+    infinity of any of these (a str p/0 too) raises ``ValueError`` naming
+    ``name``, after the ``TypeError`` for a complex ``x`` if ``real`` is set."""
     if isinstance(x, Rational):
         return mp.make_mpf(from_rational(int(x.numerator), int(x.denominator), mp.prec, round_nearest))
-    x = mp.mpf(x) if isinstance(x, str) else +mp.convert(x)
+    try:
+        x = mp.mpf(x) if isinstance(x, str) else +mp.convert(x)
+    except ZeroDivisionError:  # a str p/0: an infinity, or a NaN for 0/0, refused below
+        x = mp.nan
     if real and isinstance(x, mp.mpc):
         raise TypeError(f"{name} must be real")
     if not mp.isfinite(x):  # nan passes every range comparison

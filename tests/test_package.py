@@ -292,7 +292,7 @@ def test_number_arguments_refuse_a_decimal_nan_or_infinity(name):
     # and a float, str or mpf one: one rule reads every type, and names the argument
     call, message, _, _ = _NUMBER_ARGUMENTS[name]
     for bad in (Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), math.nan, math.inf, -math.inf, "nan", "inf",
-                mpf("inf")):
+                mpf("inf"), "1/0", "-1/0", "0/0"):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad, PrecisionContext())
 

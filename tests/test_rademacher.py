@@ -10,7 +10,6 @@ from types import FunctionType, SimpleNamespace
 
 import pytest
 from mpmath import iv, mp, mpf
-from mpmath.libmp import from_rational, round_nearest
 
 from partitions.dedekind import selberg_roots
 from partitions.exact import PartitionCache, p_exact
@@ -65,6 +64,9 @@ def test_alpha_at_a_real_n():
 def test_default_precision_policy():
     assert default_precision(1) >= 64
     assert default_precision(10_000) > default_precision(100) > 64
+    # the widths README and _MAX_N's comment cite
+    assert default_precision(10**8) == 37087
+    assert default_precision(10**9) == 117106
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -272,12 +274,9 @@ def test_float_error_bound_covers_double_precision_rerun():
 
 @pytest.mark.parametrize("n", [7, 1000, 13312, 184570])
 def test_error_bound_is_the_sum_of_term_bounds(n):
-    # E = the terms' own bounds plus 2 eps |S| for the one rounding of the sum
+    # E = the terms' own bounds, as the sum of the terms is exact
     report = p_series(n)
-    with mp.workprec(report.prec + GUARD_BITS):
-        rounding = float(abs(report.partial_sum) * mpf(2) ** (2 - report.prec - GUARD_BITS))
-    expected = (math.fsum(term.bound for term in report.terms) + rounding) * _ROUND_UP
-    assert report.float_error_bound == expected
+    assert report.float_error_bound == math.fsum(term.bound for term in report.terms) * _ROUND_UP
     t = report.truncation_bound
     assert all(0 <= term.bound <= (0.25 - t) / (2 * report.n_terms_used) for term in report.terms)
 
@@ -288,7 +287,7 @@ def test_float_terms_within_their_bounds():
     for n in (7, 1000, 13312, 184570, 10**5):
         report = p_series(n)
         ctx2 = PrecisionContext(2 * report.prec)
-        a, p = _alpha_p(n, report.prec + GUARD_BITS)
+        a, p = _alpha_p(n, report.prec)
         budget = (0.25 - report.truncation_bound) / (2 * report.n_terms_used)
         for term in report.terms:
             k = term.k
@@ -352,11 +351,10 @@ def _off_by_at_most(computed, ends, bound):
 @pytest.mark.parametrize("n", [7, 1000, 13312, 184570, 10**6])
 def test_terms_and_sum_within_their_bounds_of_interval_enclosures(n):
     # each term against an enclosure at the full working width + 64 bits, at
-    # least as tight as one at the term's own width, and the sum against the
-    # sum of the enclosures, within E = the terms' bounds plus 2 eps |S| for
-    # the one rounding of the sum
+    # least as tight as one at the term's own width, and the exact sum against
+    # the sum of the enclosures, within E = the terms' bounds
     report = p_series(n)
-    bits = report.prec + GUARD_BITS + 64
+    bits = report.prec + 64
     low = high = 0
     for term in report.terms:
         (r_low, r_high), _ = _enclosure(n, term.k, selberg_roots(term.k, n), bits)
@@ -366,13 +364,13 @@ def test_terms_and_sum_within_their_bounds_of_interval_enclosures(n):
 
 
 def test_widest_terms_within_their_bounds_of_interval_enclosures():
-    # the head terms of n = 10^8, at 37,071 bits by default_precision, the
+    # the head terms of n = 10^8, at 37,087 bits by default_precision, the
     # widest the suite encloses
     n = 10**8
     report = p_series(n)
-    assert report.prec == 37071
+    assert report.prec == 37087
     for term in report.terms[:2]:
-        (r_low, r_high), _ = _enclosure(n, term.k, selberg_roots(term.k, n), report.prec + GUARD_BITS + 64)
+        (r_low, r_high), _ = _enclosure(n, term.k, selberg_roots(term.k, n), report.prec + 64)
         assert _off_by_at_most(term.r_k, (r_low, r_high), term.bound), term.k
 
 
@@ -464,7 +462,7 @@ def test_running_error_within_half_the_model_bound(n):
     # eps = 2^(1 - p). This checks the algebra from the model to C_k, which the
     # interval enclosures, measuring real errors far below C_k, do not
     n_terms = terms_needed(n)
-    width = default_precision(n) + GUARD_BITS
+    width = default_precision(n)
     log_budget = math.log((0.25 - truncation_bound(n, n_terms)) / (2 * n_terms))
     a, p = _alpha_p(n, width)
     checked = 0
@@ -488,7 +486,7 @@ def test_float_term_declines_where_exp_overflows():
     # the least log C_k, by the routing functions alone, so 10^9 runs no series
     for n in (75_000, 10**6, 10**7, 10**8, 10**9):
         n_terms = terms_needed(n)
-        width = default_precision(n) + GUARD_BITS
+        width = default_precision(n)
         log_budget = math.log((0.25 - truncation_bound(n, n_terms)) / (2 * n_terms))
         a, p = (float(x) for x in _alpha_p(n, width))
         ks = [k for k in range(1, n_terms + 1) if a / k > 700]
@@ -498,6 +496,25 @@ def test_float_term_declines_where_exp_overflows():
     a = float(alpha(10**6, CTX))
     assert all(not isinstance(term.r_k, float) for term in p_series(10**6).terms
                if a / term.k > 700 and selberg_roots(term.k, 10**6))
+
+
+def test_every_term_routes_32_bits_below_the_width():
+    # with the sum exact, p_series raises only where a term hits the width
+    # (module docstring): every mpmath term at n <= 600, at the n of least
+    # slack, at 10^5 and at 10^6, and k = 1, the widest, up to the ceiling,
+    # route 32 or more bits below it; a float term has no cap (measured: 48
+    # bits below at n = 184570, the least, and 63 to 66 at 10^7..10^9)
+    for n, ks in [*((n, None) for n in (*range(1, 601), 6742, 7798, 13312, 184570, 10**5, 10**6)),
+                  *((n, [1]) for n in (10**7, 10**8, 10**9))]:
+        width = default_precision(n)
+        n_terms = terms_needed(n)
+        log_budget = math.log((0.25 - truncation_bound(n, n_terms)) / (2 * n_terms))
+        a, p = (float(x) for x in _alpha_p(n, width))
+        for k in ks or range(1, n_terms + 1):
+            roots = selberg_roots(k, n)
+            if roots:
+                bits = _term_bits(_log_c(k, len(roots), a / k, p), log_budget, width)
+                assert bits is None or bits <= width - 32, (n, k, bits, width)
 
 
 def test_every_term_in_floats_is_not_certified(monkeypatch):
@@ -528,7 +545,7 @@ def test_zero_weight_terms_are_the_float_evaluators():
     skipped = 0
     for n in (*range(1, 301), 6742, 13312, 184570, 999_999):
         report = p_series(n)
-        a, p = _alpha_p(n, report.prec + GUARD_BITS)
+        a, p = _alpha_p(n, report.prec)
         for term in report.terms:
             u = float(a) / term.k
             if u > 700 or selberg_roots(term.k, n):
@@ -557,13 +574,12 @@ def _exact(x):
 @pytest.mark.parametrize("n", [1, 7, 24, 1000, 13312, 184570, 999_999, 10**7])
 def test_partial_sum_is_the_exact_sum_rounded_once(n):
     # float tails, libmp head terms, zero terms and head terms with u > 700
-    # (n = 10^7) are summed exactly and rounded once, to nearest, at the full
-    # width; most of these sums fit the width, but at n = 24 the nearest is
-    # above the exact sum and at 999,999 below it, so no directed rounding passes
+    # (n = 10^7) are summed exactly, at n = 24 and 999,999 past the full
+    # width, and that sum alone is rounded, once, to the nearest integer
     report = p_series(n)
     total = sum(_exact(term.r_k) for term in report.terms)
-    width = report.prec + GUARD_BITS
-    assert report.partial_sum._mpf_ == from_rational(total.numerator, total.denominator, width, round_nearest)
+    assert _exact(report.partial_sum) == total
+    assert _exact(report.gap) == abs(total - report.rounded) < Fraction(1, 4)
 
 
 # The mpmath-context evaluator that the libmp tier replaced, kept as its
@@ -601,7 +617,7 @@ def test_alpha_p_is_the_context_evaluator_bit_for_bit():
     # and alpha(n, ctx), which runs at ctx.bits + GUARD_BITS, where _alpha_p adds 8 bits,
     # at every width a context takes
     for n in (1, 2, 7, 47, 1000, 13312, 184570, 999_999, 10**7, 10**9):
-        for width in (72, 100, 128, 1000, default_precision(n) + GUARD_BITS):
+        for width in (72, 100, 128, 1000, default_precision(n)):
             expected = _alpha_p_in_context(n, width)
             assert tuple(x._mpf_ for x in _alpha_p(n, width)) == tuple(x._mpf_ for x in expected), (n, width)
             if width + 8 - GUARD_BITS <= MAX_BITS:
@@ -616,7 +632,7 @@ def test_libmp_tier_is_the_context_evaluator_bit_for_bit():
     # against the same statements in math
     assert not selberg_roots(7, 10**7) and float(_alpha_p(10**7, 64)[0]) / 7 > 700
     for n in (1, 2, 47, 1000, 13312, 184570, 10**7):
-        width = default_precision(n) + GUARD_BITS
+        width = default_precision(n)
         a, p = _alpha_p(n, width)
         for k in (1, 2, 3, 7, 25, 49, 120, 129, 500):
             roots = selberg_roots(k, n)
@@ -666,7 +682,7 @@ def test_p_series_reports_are_pinned():
                           f"{t.bound.hex()}\n".encode())
         digest.update(f"{n} {r.prec} {_report_field(r.partial_sum)} {r.rounded:#x} {_report_field(r.gap)} "
                       f"{r.n_terms_used} {r.truncation_bound.hex()} {r.float_error_bound.hex()}\n".encode())
-    assert digest.hexdigest() == "299317f758b2f2eb4173a0c271d4e946c0423bb87be8665e1907a51814641e73"
+    assert digest.hexdigest() == "ad1827701dc98bf6a5029d113e39c953dd843b8a59599d779c03995c098d5264"
 
 
 def test_report_error_budget():
