@@ -99,37 +99,41 @@ class PartitionCache:
 
     def extend_to(self, n: int) -> None:
         """Run the pentagonal recurrence until p(n) is in the table; n < 0 or
-        n > ``_MAX_N`` = 10^5 is refused, and a refused n leaves the table unchanged.
-
-        The offsets w <= m change only when m reaches the next generalised
-        pentagonal number.  Each offset gets one iterator over the live
-        table when it first applies, positioned at index m - w (0 on a
-        growing table, where m = w), and keeps it for the rest of the call.
-        Each run [m, stop) between two pentagonal numbers pulls exactly
-        stop - m items from every iterator through ``islice``, which pulls
-        nothing past its count, so each ends the run at index stop - w,
-        where the next run reads first.  Each p(m) is two C-level sums, one
-        per sign, with no Python bytecode per term and no copy of the table.
-        """
+        n > ``_MAX_N`` = 10^5 is refused, and a refused n leaves the table unchanged."""
         n = read_int(n, "n", low=0, high=_MAX_N)
-        vals = self._values
-        m = len(vals)
-        append = vals.append
-        offsets = _signed_pentagonal()
-        w, odd = next(offsets)
-        # largest offset first, so that each sum adds the smallest values first
-        plus, minus = [], []
-        while m <= n:
-            while w <= m:
-                (plus if odd else minus).insert(0, _iter_at(vals, m - w))
-                w, odd = next(offsets)
-            stop = min(w, n + 1)
-            # repeat(0) keeps a sign with no offsets yet going, as zeros
-            adds, subs = (map(sum, zip(itertools.repeat(0), *its)) for its in (plus, minus))
-            # one value at a time, so each is in the table before it is read
-            for v in itertools.islice(map(sub, adds, subs), stop - m):
-                append(v)
-            m = stop
+        append = self._values.append
+        for v in _recurrence(self._values, n):
+            append(v)
+
+
+def _recurrence(vals: list, n: int):
+    """Yield p(len(vals)), ..., p(n) by the pentagonal recurrence over the live
+    table ``vals``, to which the caller appends each value before it asks for the next.
+
+    The offsets w <= m change only when m reaches the next generalised
+    pentagonal number.  Each offset gets one iterator over the live
+    table when it first applies, positioned at index m - w (0 on a
+    growing table, where m = w), and keeps it for the rest of the call.
+    Each run [m, stop) between two pentagonal numbers pulls exactly
+    stop - m items from every iterator through ``islice``, which pulls
+    nothing past its count, so each ends the run at index stop - w,
+    where the next run reads first.  Each p(m) is two C-level sums, one
+    per sign, with no Python bytecode per term and no copy of the table.
+    """
+    m = len(vals)
+    offsets = _signed_pentagonal()
+    w, odd = next(offsets)
+    # largest offset first, so that each sum adds the smallest values first
+    plus, minus = [], []
+    while m <= n:
+        while w <= m:
+            (plus if odd else minus).insert(0, _iter_at(vals, m - w))
+            w, odd = next(offsets)
+        stop = min(w, n + 1)
+        # repeat(0) keeps a sign with no offsets yet going, as zeros
+        adds, subs = (map(sum, zip(itertools.repeat(0), *its)) for its in (plus, minus))
+        yield from itertools.islice(map(sub, adds, subs), stop - m)
+        m = stop
 
 
 def _iter_at(seq: list, i: int):

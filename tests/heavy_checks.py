@@ -21,6 +21,7 @@ import mpmath
 import pytest
 
 import launch
+from congruences import guaranteed_modulus
 from partitions import cli
 from partitions.precision import unlimited_int_str
 
@@ -144,8 +145,8 @@ def test_series_matches_recurrence_up_to_its_ceiling():
 def test_series_matches_recurrence_mod_2_64_up_to_10_6():
     # above the exact ceiling: p(n) mod 2^64 by the recurrence, not by sympy,
     # against the residue rows and p_series at 4295 n in (10^5, 10^6] and below;
-    # each process builds the whole table and checks half the n, about 110 s
-    # of CPU on one vCPU
+    # each process builds the whole table and checks half the n, 83 to 90 s
+    # of CPU on one pinned vCPU of a Xeon VM
     script = str(Path(__file__).with_name("recurrence_mod_2_64.py"))
 
     def part(start):
@@ -154,6 +155,16 @@ def test_series_matches_recurrence_mod_2_64_up_to_10_6():
 
     with ThreadPoolExecutor(2) as pool:
         list(pool.map(part, (0, 1)))
+
+
+def test_series_at_its_ceiling_divisible_by_guaranteed_modulus():
+    # 996658724 is the largest n <= 10^9 with 24n = 1 mod 5^4 7^2 11^2, and 5^5
+    # divides 24n - 1 too, so 18528125 divides p(n): a check at the series'
+    # ceiling that uses neither sympy nor the recurrence
+    n = 996658724
+    with unlimited_int_str():
+        rounded = int(json.loads(answer("series", str(n)))["rounded"])
+    assert guaranteed_modulus(n) == 18528125 and rounded % 18528125 == 0
 
 
 def test_exact_at_its_ceiling_matches_reference_residue():

@@ -1,10 +1,11 @@
 """p(n) mod 2^64 for every n <= 10^6 by the pentagonal recurrence, and a
 check of ``p_series`` against it above the exact route's ceiling.
 
-The table runs the recurrence of ``PartitionCache.extend_to`` with each value
-reduced mod 2^64, so every value stays below 2^75 and each C-level sum stays
-cheap.  It shares no code with the series, and none with sympy, so it is an
-independent route to p(n) mod 2^64 up to 10^6.  The check compares with it:
+The table runs ``partitions.exact._recurrence``, the kernel that ``p_exact``
+runs, with each value reduced mod 2^64 as it is appended, so every value stays
+below 2^75 and each C-level sum stays cheap.  It shares no code with the
+series, and none with sympy, so it is an independent route to p(n) mod 2^64
+up to 10^6.  The check compares with it:
 
 - every row of ``partition_residues.json`` with n <= 10^6;
 - ``p_series(n).rounded`` mod 2^64 at every n in (10^6 - 2000, 10^6], at
@@ -15,18 +16,16 @@ those n, from the PART-th, so that parts can run in parallel processes:
 
     PYTHONPATH=src python tests/recurrence_mod_2_64.py [PART PARTS]
 
-It fails by an assertion.  On one Intel Xeon vCPU the table took 62 s of
-CPU, and each of two parts about 110 s in all.
+It fails by an assertion.  On one pinned vCPU of a 2-vCPU Intel Xeon VM the
+table took 51 to 62 s of CPU (four runs), and each of two parts 83 to 90 s in all.
 """
 
-import itertools
 import json
 import random
 import sys
-from operator import sub
 from pathlib import Path
 
-from partitions.exact import _iter_at, _signed_pentagonal
+from partitions.exact import _recurrence
 from partitions.rademacher import p_series
 from series_digest import SEEDED
 
@@ -36,22 +35,10 @@ NS = sorted({*range(N_MAX - 1999, N_MAX + 1), *random.Random(47).sample(range(10
 
 
 def table_mod_2_64(n_max: int) -> list[int]:
-    """p(0..n_max) mod 2^64: ``extend_to``'s loop with ``append(v & MASK)``."""
+    """p(0..n_max) mod 2^64: ``_recurrence`` with each value appended as ``v & MASK``."""
     vals = [1]
-    m = 1
-    append = vals.append
-    offsets = _signed_pentagonal()
-    w, odd = next(offsets)
-    plus, minus = [], []
-    while m <= n_max:
-        while w <= m:
-            (plus if odd else minus).insert(0, _iter_at(vals, m - w))
-            w, odd = next(offsets)
-        stop = min(w, n_max + 1)
-        adds, subs = (map(sum, zip(itertools.repeat(0), *its)) for its in (plus, minus))
-        for v in itertools.islice(map(sub, adds, subs), stop - m):
-            append(v & MASK)  # & takes a negative difference to its residue too
-        m = stop
+    for v in _recurrence(vals, n_max):
+        vals.append(v & MASK)  # & takes a negative difference to its residue too
     return vals
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recurrence_mod_2_64 import MASK, table_mod_2_64
 from schedule import WAIT_S, Stop
 
 from partitions.exact import (
@@ -153,6 +154,13 @@ def test_one_positioned_iterator_per_offset_per_call(monkeypatch):
     old = [w for k in range(1, 37) for w in pentagonal(k)[1:]]
     assert max(old) <= 2000 and sorted(calls) == sorted([2001 - w for w in old] + [0] * 16)
     assert [cache[n] for n in range(3001)] == _extend_oracle([1], 3000)
+
+
+def test_masked_kernel_matches_oracle_mod_2_64():
+    # the heavy check's table to 10^6 runs extend_to's kernel with each value
+    # reduced as it is appended; p(n) passes 2^64 from n = 417, so this also
+    # reduces negative differences
+    assert table_mod_2_64(ORACLE_TOP) == [v & MASK for v in P_ORACLE]
 
 
 def test_ceiling_is_inclusive(monkeypatch):

@@ -11,6 +11,8 @@ from types import FunctionType, SimpleNamespace
 import pytest
 from mpmath import iv, mp, mpf
 
+from congruences import guaranteed_modulus
+
 from partitions.dedekind import selberg_roots
 from partitions.exact import PartitionCache, p_exact
 from partitions.precision import PrecisionContext
@@ -763,6 +765,19 @@ def test_p_series_ramanujan_congruences():
         for _ in range(3):
             n = modulus * rng.randrange(20_000 // modulus, 200_000 // modulus) + residue
             assert p_series(n).rounded % modulus == 0, n
+
+
+def test_p_exact_divisible_by_guaranteed_modulus(exact_table):
+    # Watson's and Atkin's powers of 5, 7 and 11 (congruences.py), at every n <= 2e4
+    assert all(p_exact(n, exact_table) % guaranteed_modulus(n) == 0 for n in range(20_001))
+
+
+@pytest.mark.parametrize("n", [3551224, 7256849, 10962474])
+def test_p_series_divisible_by_guaranteed_modulus(n):
+    # the first three n with 24n = 1 mod 5^4 7^2 11^2, past the exact route:
+    # a wrong rounded value passes with a chance of about 1 in 3705625
+    assert guaranteed_modulus(n) == 3705625
+    assert p_series(n).rounded % 3705625 == 0, n
 
 
 # p(n) mod 2^64, mod 10^9 + 7 and its bit length, from sympy's partition and,
