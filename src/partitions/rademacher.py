@@ -24,9 +24,18 @@ For n = 1, |A_k| <= k and u cosh u - sinh u <= (u^3/3) cosh u give
 N^(-1/2) cosh(a/(N+1)).  T falls as N grows; the series uses the smallest
 N with T < 1/4.  T is evaluated in floats, rounded up by a relative 2^-32,
 and is +inf where sinh would overflow (it is then far above 1/4).
-:func:`terms_needed` doubles N from 1 until T < 1/4 and then halves the
-last interval, which is valid as T falls as N grows: 28 evaluations of T
-at n = 10^9, where N = 10364.
+
+That N lies in [20, isqrt(n) + 40], the range :func:`terms_needed` bisects.
+Lower end: for N <= 19 and n >= 2, T >= C1 N^(-1/2) >= C1/sqrt 19 = 0.2556
+> 1/4 with C1 = 44 pi^2/(225 sqrt 3); for n = 1, cosh >= 1 gives T(1, N) >=
+2 pi^2/(9 sqrt 3 sqrt 19) = 0.2905.  Upper end: N = isqrt(n) + 40 lies in
+(sqrt n + 39, sqrt n + 40], so the first term of T is below C1/sqrt(sqrt n
++ 39), sqrt(N/(n-1)) is at most sqrt((sqrt n + 40)/(n-1)), which falls for
+n >= 2, and sinh(pi sqrt(2n/3)/N) < sinh(pi sqrt(2/3)) = 6.4625.  This bound
+on T falls as n grows and is 0.2351 at n = 1000, room enough for the 2^-32
+rounding; for n < 1000, T evaluated is at most 0.2077 (at n = 2).  At n =
+10^9 the range ends at N = 31662, below the ceiling on N, and bisection
+evaluates T 15 times to find N = 10364.
 
 Floating-error bound E.  Every term comes from one evaluator, :func:`_term`,
 which runs the same statements in hardware floats (:mod:`math`) or on
@@ -99,6 +108,7 @@ below the width at every n <= 2e5, and 63 at 10^9.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -292,16 +302,11 @@ def truncation_bound(n: int, n_terms: int) -> float:
 
 
 def terms_needed(n: int) -> int:
-    """The smallest N with truncation_bound(n, N) < 1/4: N doubles from 1
-    until T < 1/4, then the last interval (low, high] is halved."""
+    """The smallest N with truncation_bound(n, N) < 1/4, by bisection over
+    20 <= N <= isqrt(n) + 40, the range proved above."""
     n = read_int(n, "n", high=_MAX_N)
-    low, high = 0, 1  # T(n, low) >= 1/4 throughout, reading T(n, 0) as +inf
-    while truncation_bound(n, high) >= 0.25:
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        low, high = (low, mid) if truncation_bound(n, mid) < 0.25 else (mid, high)
-    return high
+    return 20 + bisect.bisect_left(range(20, math.isqrt(n) + 41), True,
+                                   key=lambda n_terms: truncation_bound(n, n_terms) < 0.25)
 
 
 def _term_bits(log_c: float, log_budget: float, width: int) -> int | None:

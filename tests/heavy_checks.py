@@ -111,8 +111,8 @@ def test_series_digest_is_pinned():
 
 
 def test_terms_needed_matches_walk_up_from_one():
-    # terms_needed doubles N from 1 and halves the last interval, which holds
-    # as T falls as N grows: it must give the N of the walk up from N = 1
+    # terms_needed bisects N over a proved range, which holds as T falls as
+    # N grows: it must give the N of the walk up from N = 1
     run_script("""
         from partitions.rademacher import terms_needed, truncation_bound
         def walk(n):

@@ -28,7 +28,8 @@ from partitions.rademacher import (
     truncation_bound,
 )
 from partitions.precision import GUARD_BITS, MAX_BITS
-from partitions.rademacher import _FLOAT_BITS, _ROUND_UP, _alpha_p, _log_c, _term, _term_bits
+from partitions.rademacher import (_FLOAT_BITS, _LEHMER_C1, _LEHMER_C2, _ROUND_UP, _alpha_p, _log_c, _term,
+                                   _term_bits)
 
 CTX = PrecisionContext(128)
 
@@ -214,8 +215,8 @@ def test_terms_needed_is_minimal():
         assert truncation_bound(n, n_terms) < 0.25 <= truncation_bound(n, n_terms - 1)
     for n in (1, 10, 1000):
         assert p_series(n).n_terms_used == terms_needed(n)
-    # terms_needed doubles N and halves the last interval: it finds the N of
-    # the walk up from N = 1, which only holds as T falls as N grows
+    # terms_needed bisects N: it finds the N of the walk up from N = 1,
+    # which only holds as T falls as N grows
     rng = random.Random(20261019)
     for n in (13312, 184570, 10**7, 10**9, *(rng.randrange(1, 10**9 + 1) for _ in range(100))):
         n_terms = terms_needed(n)
@@ -227,7 +228,7 @@ def test_terms_needed_is_minimal():
 
 
 def test_terms_needed_evaluates_few_bounds(monkeypatch):
-    # 28 evaluations of T at the ceiling, where the walk up from N = 1 takes 10,364
+    # 15 evaluations of T at the ceiling, where the walk up from N = 1 takes 10,364
     calls = []
 
     def counted(n, n_terms):
@@ -237,6 +238,29 @@ def test_terms_needed_evaluates_few_bounds(monkeypatch):
     monkeypatch.setattr("partitions.rademacher.truncation_bound", counted)
     assert terms_needed(10**9) == 10364
     assert 0 < len(calls) <= 30
+
+
+def test_terms_needed_bracket(monkeypatch):
+    # the module docstring's proof that the smallest N with T < 1/4 lies in
+    # [20, isqrt(n) + 40], the range terms_needed bisects
+    assert _LEHMER_C1 / math.sqrt(19) > 0.25 <= truncation_bound(1, 19)
+    # the upper end: evaluated below n = 1000, and from 1000 on by a bound on T that falls in n
+    for n in (*range(1, 1000), 10**9):
+        assert truncation_bound(n, math.isqrt(n) + 40) < 0.25, n
+    sinh_bound = math.sinh(math.pi * math.sqrt(2 / 3))
+    assert (_LEHMER_C1 / math.sqrt(math.sqrt(1000) + 39)
+            + _LEHMER_C2 * math.sqrt((math.sqrt(1000) + 40) / 999) * sinh_bound) * _ROUND_UP < 0.25
+    calls = []
+
+    def counted(n, n_terms):
+        calls.append(n_terms)
+        return truncation_bound(n, n_terms)
+
+    monkeypatch.setattr("partitions.rademacher.truncation_bound", counted)
+    for n, most in (*((n, 7) for n in range(100, 15_001)), (10**9, 16)):
+        calls.clear()
+        terms_needed(n)
+        assert 0 < len(calls) <= most and all(20 <= N <= math.isqrt(n) + 40 for N in calls), n
 
 
 def test_terms_needed_large_n_does_not_overflow():
